@@ -57,8 +57,11 @@ func TestThreadedIdleClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Dial returns before the server's accept loop has run: wait for the
+	// connection to be counted in before waiting for it to be counted out.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && ts.ConnCount() > 0 {
+	accepted := srv.Profile().Counter(metrics.MetricConnsAccepted)
+	for time.Now().Before(deadline) && (accepted.Value() == 0 || ts.ConnCount() > 0) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if got := ts.ConnCount(); got != 0 {

@@ -107,18 +107,19 @@ type udpSender struct {
 	cache  *resolveCache
 }
 
-// send is the single exit for all UDP transmissions: the message's cached
-// wire image (serialized once, reused across retransmissions and the
-// metrics path) goes either to the egress queue or straight to the socket.
+// send is the single exit for all UDP transmissions: the message is
+// rendered into a pooled buffer that goes either to the egress queue (which
+// copies it) or straight to the socket, and is recycled on return.
 func (s *udpSender) send(m *sipmsg.Message, addr *net.UDPAddr) error {
 	if s.faults.dropTx() {
 		return nil // silently lost in the simulated network
 	}
-	wire := m.Serialize()
+	wire := m.RenderWire()
+	defer wire.Release()
 	if s.egress != nil {
-		return s.egress.Enqueue(wire, addr)
+		return s.egress.Enqueue(wire.Bytes, addr)
 	}
-	return s.sock.WriteTo(wire, addr)
+	return s.sock.WriteTo(wire.Bytes, addr)
 }
 
 func (s *udpSender) ToOrigin(origin any, m *sipmsg.Message) error {

@@ -82,8 +82,9 @@ type rawWriter interface {
 // Send serializes m and writes it atomically under the connection's shared
 // send lock (OpenSER's user-level lock for shared connections).
 func (h *Handle) Send(m *sipmsg.Message) error {
-	data := m.Serialize()
-	return h.SendRaw(data)
+	wire := m.RenderWire()
+	defer wire.Release()
+	return h.SendRaw(wire.Bytes)
 }
 
 // SendRaw writes pre-serialized bytes under the connection's send lock.

@@ -209,4 +209,10 @@ func TestRegisterStandard(t *testing.T) {
 			t.Errorf("stage histogram %q not pre-registered", n)
 		}
 	}
+	if _, ok := snap.Gauges[GaugeMsgPoolOutstanding]; !ok {
+		t.Errorf("gauge %q not pre-registered", GaugeMsgPoolOutstanding)
+	}
+	if got := promName(GaugeMsgPoolOutstanding); got != "gosip_msg_pool_outstanding" {
+		t.Errorf("exported as %q", got)
+	}
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gosip/internal/sipmsg"
 )
 
 // Counter is a monotonically increasing event count. Like Histogram, a nil
@@ -427,6 +429,13 @@ const (
 	GaugeLocAORs     = "location.aors"
 )
 
+// GaugeMsgPoolOutstanding is sipmsg's pool ledger: parsed messages handed
+// out and not yet fully released (gets − puts). It is process-wide, idles
+// at zero, and rides with load at the number of requests held by unanswered
+// transactions plus the messages in workers' hands; a floor that climbs is
+// a leaked reference. Registered by RegisterStandard.
+const GaugeMsgPoolOutstanding = "msg.pool_outstanding"
+
 // Per-stage latency histogram names: the paper's "where does the time go"
 // question (§5, Figures 4/5) answered as live distributions rather than
 // offline OProfile totals.
@@ -527,4 +536,5 @@ func (p *Profile) RegisterStandard() {
 	p.Histogram(HistSendBatch)
 	p.Histogram(HistUringSQBatch)
 	p.Histogram(HistUringCQBatch)
+	p.SetGauge(GaugeMsgPoolOutstanding, func() float64 { return float64(sipmsg.PoolOutstanding()) })
 }

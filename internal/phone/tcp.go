@@ -182,9 +182,12 @@ func (e *tcpEndpoint) awaitFinal(sc *transport.StreamConn, callID string, seq ui
 			continue
 		}
 		if m.StatusCode >= 200 {
-			// Final responses escape to the caller; leave them to the GC.
+			// Final responses escape to the caller: as an unpooled copy, so
+			// the parsed message goes back to the pool (see udp.go).
 			_ = sc.SetReadDeadline(time.Time{})
-			return m, nil
+			final := m.Clone()
+			m.Release()
+			return final, nil
 		}
 		m.Release()
 		deadline = time.Now().Add(e.cfg.ResponseTimeout)

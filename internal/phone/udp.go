@@ -122,8 +122,11 @@ func (e *udpEndpoint) requestTo(req *sipmsg.Message, method sipmsg.Method, stats
 			}
 			if resp.StatusCode >= 200 {
 				// The final response escapes to the caller, which may hold it
-				// across the whole call: leave it to the GC.
-				return resp, nil
+				// across the whole call: hand over an unpooled copy, so the
+				// parsed message goes back and sipmsg's pool ledger balances.
+				final := resp.Clone()
+				resp.Release()
+				return final, nil
 			}
 			// Provisional: the proxy/callee is working on it; keep waiting.
 			resp.Release()

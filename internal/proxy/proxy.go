@@ -34,13 +34,14 @@ import (
 // (a response or forwarded clone) so spans recorded further down the send
 // path — serialization, fd-cache hits, supervisor IPC — land on the
 // originating call's timeline. The derived message only borrows the
-// context: ownership (and pool recycling) stays with the request. Derived
-// messages never outlive the request's context — responses stored in a
-// transaction share its lifetime with the retained request — and records
-// after Finish are no-ops, so a stale borrow can never corrupt a recycled
-// timeline. trace.Of returns nil for untraced (sampled-out) messages, but
-// every Context method is nil-safe and a borrowed nil is inert, so no call
-// site needs a nil check.
+// context. A request outside any transaction owns its context, which
+// recycles with it when the receive loop releases it: its derived messages
+// are sent before that. A request that created a transaction has handed the
+// context to the transaction (see transaction.Table.Create), where it stays
+// valid for as long as anything derived from the request can be replayed.
+// Records after Finish are no-ops. trace.Of returns nil for untraced
+// (sampled-out) messages, but every Context method is nil-safe and a
+// borrowed nil is inert, so no call site needs a nil check.
 func borrowTrace(dst, src *sipmsg.Message) *trace.Context {
 	tc := trace.Of(src)
 	dst.BorrowTrace(tc)
@@ -51,6 +52,15 @@ func borrowTrace(dst, src *sipmsg.Message) *trace.Context {
 // implement it: the UDP server writes datagrams; the TCP server resolves
 // connections, consulting the per-worker fd cache and falling back to
 // supervisor IPC.
+//
+// Ownership: a Sender is only ever given messages the engine built (a
+// response, a forwarded copy, an ACK or CANCEL of its own), never one that
+// came out of sipmsg.Parse or a sipmsg.Reader. Built messages are not
+// pooled and belong to the garbage collector, so an implementation may
+// keep the pointer past the call — a capturing test double, a batching
+// egress — without Retain. Parsed messages are recycled the moment their
+// last reference is released and stay on the engine's side of this
+// interface.
 type Sender interface {
 	// ToOrigin sends a response back where its request came from (a UDP
 	// source address or a TCP connection identity).
@@ -124,6 +134,11 @@ type Engine struct {
 	db   *userdb.DB
 	txns *transaction.Table
 
+	// via is this proxy's own Via without a branch; viaPrefix is its value
+	// up to and including "branch=", which newVia completes.
+	via       sipmsg.Via
+	viaPrefix string
+
 	// timerSender delivers retransmissions and timeouts from the timer
 	// goroutine; nil disables retransmission even for unreliable
 	// transports.
@@ -143,8 +158,11 @@ type Engine struct {
 
 // NewEngine assembles an engine. txns may be nil for a stateless proxy.
 func NewEngine(cfg Config, loc *location.Service, db *userdb.DB, txns *transaction.Table, profile *metrics.Profile) *Engine {
+	own := sipmsg.Via{Transport: cfg.ViaTransport, Host: cfg.ViaHost, Port: cfg.ViaPort}
 	return &Engine{
 		cfg:            cfg,
+		via:            own,
+		viaPrefix:      own.String() + ";branch=",
 		loc:            loc,
 		db:             db,
 		txns:           txns,
@@ -168,15 +186,19 @@ func (e *Engine) SetTimerSender(s Sender) { e.timerSender = s }
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// ownVia builds this proxy's Via header value with a fresh branch.
-func (e *Engine) ownVia() (sipmsg.Via, string) {
-	branch := sipmsg.NewBranch()
-	return sipmsg.Via{
-		Transport: e.cfg.ViaTransport,
-		Host:      e.cfg.ViaHost,
-		Port:      e.cfg.ViaPort,
-		Params:    map[string]string{"branch": branch},
-	}, branch
+// newVia renders this proxy's Via header value with a fresh branch, in one
+// string: the branch is a view into the value.
+func (e *Engine) newVia() (via, branch string) {
+	var b [96]byte
+	via = string(sipmsg.AppendBranch(append(b[:0], e.viaPrefix...)))
+	return via, via[len(e.viaPrefix):]
+}
+
+// txTrace returns the timeline of the request that created tx (nil when the
+// call is not traced; every Context method is nil-safe).
+func txTrace(tx *transaction.Transaction) *trace.Context {
+	tc, _ := tx.TraceContext().(*trace.Context)
+	return tc
 }
 
 // Handle processes one message. It is called from a worker's event loop;
@@ -235,8 +257,8 @@ func (e *Engine) handleRequest(s Sender, m *sipmsg.Message, origin any) {
 // matching transaction (e.g. after the absorb window closed).
 func (e *Engine) handleAck(s Sender, m *sipmsg.Message) {
 	if e.cfg.Stateful && e.txns != nil {
-		if top, err := m.TopVia(); err == nil && top.Branch() != "" {
-			if tx := e.txns.MatchParts(top.Branch(), sipmsg.ACK); tx != nil {
+		if branch, err := m.TopViaBranch(); err == nil && branch != "" {
+			if tx := e.txns.MatchParts(branch, sipmsg.ACK); tx != nil {
 				if e.txns.OnAck(tx) == transaction.AckAbsorbed {
 					e.absorbed.Inc()
 					tc := trace.Of(m)
@@ -281,40 +303,40 @@ func (e *Engine) handleCancel(s Sender, m *sipmsg.Message, origin any) {
 		e.reply(s, m, origin, sipmsg.StatusNotImplemented)
 		return
 	}
-	top, err := m.TopVia()
-	if err != nil || top.Branch() == "" {
-		e.reply(s, m, origin, sipmsg.StatusBadRequest)
-		return
-	}
-	key, err := m.TransactionKey()
+	branch, method, err := m.TransactionID()
 	if err != nil {
 		e.reply(s, m, origin, sipmsg.StatusBadRequest)
 		return
 	}
-	ctx, isRetransmit := e.txns.Create(key, m, origin)
+	ctx, isRetransmit := e.txns.Create(sipmsg.JoinTransactionKey(branch, method), m, origin)
 	if isRetransmit {
-		status := 0
-		if last := e.txns.OnRetransmit(ctx); last != nil {
-			e.sendToOrigin(s, ctx.Origin, last)
-			status = last.StatusCode
-		}
-		trace.Of(m).Finish(status)
+		e.replayLast(s, ctx, trace.Of(m))
 		return
 	}
-	inv := e.txns.MatchParts(top.Branch(), sipmsg.INVITE)
+	inv := e.txns.MatchParts(branch, sipmsg.INVITE)
 	if inv == nil {
-		e.finalizeLocal(s, ctx, sipmsg.StatusTransactionNotFound)
+		e.finalizeLocal(s, ctx, m, sipmsg.StatusTransactionNotFound)
 		return
 	}
 	// §9.2: the CANCEL transaction answers 200 regardless of whether there
 	// is anything left to cancel.
-	e.finalizeLocal(s, ctx, sipmsg.StatusOK)
+	e.finalizeLocal(s, ctx, m, sipmsg.StatusOK)
 	fwd, deferred, alreadyFinal := inv.RequestCancel()
+	defer fwd.Release()
 	if alreadyFinal {
 		return
 	}
-	resp := sipmsg.NewResponse(inv.Request(), sipmsg.StatusRequestTerminated, sipmsg.NewTag())
-	txc := borrowTrace(resp, inv.Request())
+	// Another worker may send the INVITE's final between RequestCancel and
+	// here; the request is then already given back and there is nothing
+	// left to answer 487 to.
+	invReq := inv.Request()
+	if invReq == nil {
+		return
+	}
+	resp := sipmsg.NewResponse(invReq, sipmsg.StatusRequestTerminated, sipmsg.NewTag())
+	invReq.Release()
+	txc := txTrace(inv)
+	resp.BorrowTrace(txc)
 	if e.completeUpstream(s, inv, resp) {
 		txc.Finish(sipmsg.StatusRequestTerminated)
 	}
@@ -325,6 +347,20 @@ func (e *Engine) handleCancel(s Sender, m *sipmsg.Message, origin any) {
 		return
 	}
 	e.cancelDownstream(s, inv, fwd)
+}
+
+// replayLast answers a retransmitted request as the server machine directs:
+// with the transaction's last response, or not at all. tc is the
+// duplicate's own timeline, which ends here; the original request's keeps
+// tracking the transaction.
+func (e *Engine) replayLast(s Sender, tx *transaction.Transaction, tc *trace.Context) {
+	status := 0
+	if last := e.txns.OnRetransmit(tx); last != nil {
+		e.sendToOrigin(s, tx.Origin, last)
+		status = last.StatusCode
+		last.Release()
+	}
+	tc.Finish(status)
 }
 
 func (e *Engine) handleRegister(s Sender, m *sipmsg.Message, origin any) {
@@ -421,14 +457,14 @@ func (e *Engine) routeTraced(m *sipmsg.Message, dialogRouted bool) (location.Bin
 // forwardStateful implements the paper's §2 invite/bye sequence on the
 // proxy side.
 func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
-	key, err := m.TransactionKey()
+	upBranch, cseqMethod, err := m.TransactionID()
 	if err != nil {
 		e.reply(s, m, origin, sipmsg.StatusBadRequest)
 		return
 	}
 	tc := trace.Of(m)
 	t0 := time.Now()
-	tx, isRetransmit := e.txns.Create(key, m, origin)
+	tx, isRetransmit := e.txns.Create(sipmsg.JoinTransactionKey(upBranch, cseqMethod), m, origin)
 	d := time.Since(t0)
 	e.txnHist.Record(d)
 	tc.Add(trace.StageTxn, t0, d)
@@ -436,14 +472,7 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 		// Absorb through the server machine: replay the last response if
 		// the machine says so (the state maintenance that "decreases the
 		// amount of retransmitted messages the server must process").
-		status := 0
-		if last := e.txns.OnRetransmit(tx); last != nil {
-			e.sendToOrigin(s, tx.Origin, last)
-			status = last.StatusCode
-		}
-		// The duplicate's own timeline ends here; the original request's
-		// context keeps tracking the transaction.
-		tc.Finish(status)
+		e.replayLast(s, tx, tc)
 		return
 	}
 
@@ -455,15 +484,16 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 		e.sendToOrigin(s, origin, trying)
 	}
 
-	if mf := m.MaxForwards(70); mf <= 0 {
-		e.finalizeLocal(s, tx, sipmsg.StatusTooManyHops)
+	maxForwards := m.MaxForwards(70)
+	if maxForwards <= 0 {
+		e.finalizeLocal(s, tx, m, sipmsg.StatusTooManyHops)
 		return
 	}
 
 	dialogRouted := e.popOwnRoute(m)
 	binding, ok := e.routeTraced(m, dialogRouted)
 	if !ok {
-		e.finalizeLocal(s, tx, sipmsg.StatusNotFound)
+		e.finalizeLocal(s, tx, m, sipmsg.StatusNotFound)
 		return
 	}
 
@@ -476,23 +506,13 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 	}
 
 	// Build the forwarded request: decrement Max-Forwards, push our Via.
-	fwd := m.Clone()
-	borrowTrace(fwd, m)
-	fwd.Set("Max-Forwards", strconv.Itoa(m.MaxForwards(70)-1))
-	via, _ := e.ownVia()
-	fwd.Prepend("Via", via.String())
-	if e.cfg.RecordRoute && m.Method == sipmsg.INVITE {
-		fwd.Prepend("Record-Route", sipmsg.NameAddr{URI: e.ownRouteURI()}.String())
-	}
-	downKey, err := fwd.TransactionKey()
-	if err != nil {
-		e.finalizeLocal(s, tx, sipmsg.StatusServerError)
-		return
-	}
-	e.txns.SetForwarded(tx, downKey, fwd, binding)
+	// The responses come back keyed on our branch and the CSeq method.
+	recordRoute := e.cfg.RecordRoute && m.Method == sipmsg.INVITE
+	fwd, branch := e.forwardCopy(m, maxForwards, recordRoute)
+	e.txns.SetForwarded(tx, sipmsg.JoinTransactionKey(branch, cseqMethod), fwd, binding)
 
 	if err := e.sendToBinding(s, binding, fwd); err != nil {
-		e.finalizeLocal(s, tx, sipmsg.StatusServiceUnavail)
+		e.finalizeLocal(s, tx, m, sipmsg.StatusServiceUnavail)
 		return
 	}
 
@@ -507,29 +527,69 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 	// unreliable transports until a response arrives (Timer A/E), failing
 	// upstream with 408 when Timer B/F fires.
 	if !e.cfg.Reliable && e.timerSender != nil {
-		ts := e.timerSender
-		e.txns.ArmClientTimers(tx,
-			func(msg *sipmsg.Message) {
-				// Close out the downstream wait before the retransmit span so
-				// waiting time keeps accumulating across retransmissions.
-				now := time.Now()
-				tc.Gap(trace.StageWaitDown, now)
-				_ = ts.ToBinding(binding, msg)
-				tc.Span(trace.StageRetransmit, now)
-			},
-			func() {
-				tc.Gap(trace.StageWaitDown, time.Now())
-				e.finalizeLocal(ts, tx, sipmsg.StatusRequestTimeout)
-			})
+		e.txns.ArmClientTimers(tx, e)
 	}
 }
 
-// finalizeLocal completes the transaction with a locally generated final
-// response sent upstream through the given sender (a worker's sender, or
-// the timer sender from timer-goroutine contexts).
-func (e *Engine) finalizeLocal(s Sender, tx *transaction.Transaction, code int) {
-	resp := e.localFinal(tx, code)
-	tc := borrowTrace(resp, tx.Request())
+// RetransmitRequest and RequestTimedOut make the engine the transaction
+// table's ClientTimerHandler. Both run on the timer goroutine and send
+// through the timer sender; the transaction may have been answered since
+// the timer fired, in which case it no longer holds what they ask it for.
+
+// RetransmitRequest sends the forwarded request downstream again.
+func (e *Engine) RetransmitRequest(tx *transaction.Transaction, fwd *sipmsg.Message) {
+	route, ok := tx.DownRoute().(location.Binding)
+	if !ok {
+		return
+	}
+	// Close out the downstream wait before the retransmit span so waiting
+	// time keeps accumulating across retransmissions.
+	now := time.Now()
+	tc := txTrace(tx)
+	tc.Gap(trace.StageWaitDown, now)
+	_ = e.timerSender.ToBinding(route, fwd)
+	tc.Span(trace.StageRetransmit, now)
+}
+
+// RequestTimedOut answers the transaction upstream with 408.
+func (e *Engine) RequestTimedOut(tx *transaction.Transaction) {
+	req := tx.Request()
+	if req == nil {
+		return
+	}
+	defer req.Release()
+	txTrace(tx).Gap(trace.StageWaitDown, time.Now())
+	e.finalizeLocal(e.timerSender, tx, req, sipmsg.StatusRequestTimeout)
+}
+
+// forwardCopy builds the copy of request m that goes downstream — Max-Forwards
+// decremented, this proxy's Via (and Record-Route) on top — and returns it
+// with the branch of that Via. The copy's header slice is allocated once,
+// with room for what is pushed onto it.
+func (e *Engine) forwardCopy(m *sipmsg.Message, maxForwards int, recordRoute bool) (fwd *sipmsg.Message, branch string) {
+	extra := 1
+	if recordRoute {
+		extra = 2
+	}
+	fwd = m.CloneWithHeadroom(extra)
+	borrowTrace(fwd, m)
+	fwd.Set("Max-Forwards", strconv.Itoa(maxForwards-1)) // no allocation below 100
+	via, branch := e.newVia()
+	fwd.Prepend("Via", via)
+	if recordRoute {
+		fwd.Prepend("Record-Route", sipmsg.NameAddr{URI: e.ownRouteURI()}.String())
+	}
+	return fwd, branch
+}
+
+// finalizeLocal completes the transaction with a final response generated
+// here from req, the request that created it, and sent upstream through the
+// given sender (a worker's sender, or the timer sender from timer-goroutine
+// contexts).
+func (e *Engine) finalizeLocal(s Sender, tx *transaction.Transaction, req *sipmsg.Message, code int) {
+	resp := e.localFinal(req, code)
+	tc := txTrace(tx)
+	resp.BorrowTrace(tc)
 	e.completeUpstream(s, tx, resp)
 	tc.Finish(code)
 }
@@ -541,12 +601,11 @@ func (e *Engine) finalizeLocal(s Sender, tx *transaction.Transaction, code int) 
 // up. Returns false when the transaction already answered — the duplicate
 // final is absorbed, which the state span records on the call's timeline.
 func (e *Engine) completeUpstream(s Sender, tx *transaction.Transaction, resp *sipmsg.Message) bool {
+	tc := txTrace(tx)
 	var replay func(*sipmsg.Message)
-	if !e.cfg.Reliable && e.timerSender != nil &&
-		tx.Request().Method == sipmsg.INVITE && resp.StatusCode >= 300 {
+	if !e.cfg.Reliable && e.timerSender != nil && tx.IsInvite() && resp.StatusCode >= 300 {
 		ts := e.timerSender
 		origin := tx.Origin
-		tc := trace.Of(tx.Request())
 		replay = func(final *sipmsg.Message) {
 			now := time.Now()
 			e.sendToOrigin(ts, origin, final)
@@ -555,7 +614,7 @@ func (e *Engine) completeUpstream(s Sender, tx *transaction.Transaction, resp *s
 	}
 	t0 := time.Now()
 	ok := e.txns.SendFinal(tx, resp, replay)
-	trace.Of(tx.Request()).Span(trace.StageState, t0)
+	tc.Span(trace.StageState, t0)
 	if !ok {
 		e.absorbed.Inc()
 		return false
@@ -566,19 +625,20 @@ func (e *Engine) completeUpstream(s Sender, tx *transaction.Transaction, resp *s
 
 // ackDownstream acknowledges a downstream non-2xx INVITE final on the
 // transaction layer's behalf (§17.1.1.3): the ACK reuses the forwarded
-// INVITE's branch (same transaction) and follows the same route.
+// INVITE's branch (same transaction) and follows the same route. The
+// transaction holds both until Timer D for exactly this.
 func (e *Engine) ackDownstream(s Sender, tx *transaction.Transaction, resp *sipmsg.Message) {
 	fwd := tx.Forwarded()
 	if fwd == nil {
 		return
 	}
+	defer fwd.Release()
 	binding, ok := tx.DownRoute().(location.Binding)
 	if !ok {
 		return
 	}
-	via, _ := e.ownVia()
-	ack := sipmsg.NewAck(fwd, resp, via)
-	borrowTrace(ack, tx.Request())
+	ack := sipmsg.NewAck(fwd, resp, e.via)
+	ack.BorrowTrace(txTrace(tx))
 	_ = e.sendToBinding(s, binding, ack)
 }
 
@@ -605,15 +665,15 @@ func (e *Engine) cancelDownstream(s Sender, tx *transaction.Transaction, fwd *si
 		cancel.Del("Via")
 		cancel.Add("Via", top.String())
 	}
-	borrowTrace(cancel, tx.Request())
+	cancel.BorrowTrace(txTrace(tx))
 	_ = e.sendToBinding(s, binding, cancel)
 }
 
-// localFinal builds a locally generated final response, adding Retry-After
-// to 503s when configured so clients defer their retry instead of
-// hammering a server that is already shedding load.
-func (e *Engine) localFinal(tx *transaction.Transaction, code int) *sipmsg.Message {
-	resp := sipmsg.NewResponse(tx.Request(), code, sipmsg.NewTag())
+// localFinal builds a locally generated final response to req, adding
+// Retry-After to 503s when configured so clients defer their retry instead
+// of hammering a server that is already shedding load.
+func (e *Engine) localFinal(req *sipmsg.Message, code int) *sipmsg.Message {
+	resp := sipmsg.NewResponse(req, code, sipmsg.NewTag())
 	if code == sipmsg.StatusServiceUnavail && e.cfg.RetryAfter > 0 {
 		secs := int((e.cfg.RetryAfter + time.Second - 1) / time.Second)
 		if secs < 1 {
@@ -631,7 +691,8 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
 	// finish the timeline unconditionally. Status 0 = no local response.
 	tc := trace.Of(m)
 	defer tc.Finish(0)
-	if mf := m.MaxForwards(70); mf <= 0 {
+	maxForwards := m.MaxForwards(70)
+	if maxForwards <= 0 {
 		e.drops.Inc()
 		return
 	}
@@ -641,11 +702,7 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
 		e.drops.Inc()
 		return
 	}
-	fwd := m.Clone()
-	borrowTrace(fwd, m)
-	fwd.Set("Max-Forwards", strconv.Itoa(m.MaxForwards(70)-1))
-	via, _ := e.ownVia()
-	fwd.Prepend("Via", via.String())
+	fwd, _ := e.forwardCopy(m, maxForwards, false)
 	if err := e.sendToBinding(s, binding, fwd); err != nil {
 		e.drops.Inc()
 	}
@@ -656,8 +713,8 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
 // (§16.7), retransmitted finals were already answered, and non-2xx INVITE
 // finals are ACKed downstream by the transaction layer itself.
 func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
-	top, err := m.TopVia()
-	if err != nil || top.Branch() == "" {
+	branch, err := m.TopViaBranch()
+	if err != nil || branch == "" {
 		e.drops.Inc()
 		return
 	}
@@ -670,11 +727,7 @@ func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 
 	if !e.cfg.Stateful || e.txns == nil {
 		// Stateless: relay toward the next Via's sent-by.
-		fwd := m.Clone()
-		if !fwd.RemoveFirst("Via") {
-			e.drops.Inc()
-			return
-		}
+		fwd := m.CloneWithoutTopVia() // non-nil: TopViaBranch found a Via
 		next, err := fwd.TopVia()
 		if err != nil {
 			e.drops.Inc()
@@ -698,7 +751,7 @@ func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 	// MatchParts assembles branch|method in a stack buffer: the per-response
 	// key string the old path allocated is gone from the hot path entirely.
 	t0 := time.Now()
-	tx := e.txns.MatchParts(top.Branch(), method)
+	tx := e.txns.MatchParts(branch, method)
 	d := time.Since(t0)
 	e.txnHist.Record(d)
 	if tx == nil {
@@ -709,15 +762,11 @@ func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 	// The response continues its request's timeline: the gap since the last
 	// recorded span (forward send or retransmit) is the downstream wait, and
 	// it must land before the match span so the two don't overlap.
-	tc := trace.Of(tx.Request())
+	tc := txTrace(tx)
 	tc.Gap(trace.StageWaitDown, t0)
 	tc.Add(trace.StageTxn, t0, d)
 
-	fwd := m.Clone()
-	if !fwd.RemoveFirst("Via") {
-		e.drops.Inc()
-		return
-	}
+	fwd := m.CloneWithoutTopVia() // non-nil: the top Via matched the transaction
 	// Unconditional: trace.Of is nil for sampled-out requests, but Context
 	// methods are nil-safe and borrowing a nil is inert (see borrowTrace).
 	fwd.BorrowTrace(tc)

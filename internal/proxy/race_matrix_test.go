@@ -306,3 +306,210 @@ func TestRaceMatrixLateFinalAfterTimerD(t *testing.T) {
 		}
 	})
 }
+
+// The two scenarios below race a worker that reads the stored request
+// against the final that makes the transaction give it back. They feed the
+// engine parsed — pooled — messages and release them as a receive loop does,
+// while a third goroutine churns the pool with another call's text: a
+// request released too early comes back from the pool carrying that text,
+// and any response built from it names the wrong call.
+
+// wireRequest renders a caller's request to user1 as it arrives on the wire.
+func wireRequest(method sipmsg.Method, call string) []byte {
+	return []byte(string(method) + " sip:user1@test.dom SIP/2.0\r\n" +
+		"Via: SIP/2.0/UDP 10.0.0.1:5071;branch=z9hG4bK" + call + "\r\n" +
+		"Max-Forwards: 70\r\n" +
+		"From: <sip:user0@test.dom>;tag=" + call + "\r\n" +
+		"To: <sip:user1@test.dom>\r\n" +
+		"Call-ID: " + call + "\r\n" +
+		"CSeq: 1 " + string(method) + "\r\n" +
+		"Content-Length: 0\r\n\r\n")
+}
+
+func wireInvite(call string) []byte { return wireRequest(sipmsg.INVITE, call) }
+func wireCancel(call string) []byte { return wireRequest(sipmsg.CANCEL, call) }
+
+func wireOK(call, proxyVia string) []byte {
+	return []byte("SIP/2.0 200 OK\r\n" +
+		"Via: " + proxyVia + "\r\n" +
+		"Via: SIP/2.0/UDP 10.0.0.1:5071;branch=z9hG4bK" + call + "\r\n" +
+		"From: <sip:user0@test.dom>;tag=" + call + "\r\n" +
+		"To: <sip:user1@test.dom>;tag=callee\r\n" +
+		"Call-ID: " + call + "\r\n" +
+		"CSeq: 1 INVITE\r\n" +
+		"Content-Length: 0\r\n\r\n")
+}
+
+// handleWire is one turn of a receive loop.
+func handleWire(t *testing.T, v *env, s Sender, wire []byte, origin any) {
+	m, err := sipmsg.Parse(wire)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	v.engine.Handle(s, m, origin)
+	m.Release()
+}
+
+// churnPool parses and releases another call's INVITE on its own goroutine
+// until the returned stop function is called (which waits for it to exit;
+// calling it again is harmless).
+func churnPool() (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		wire := wireInvite("poison")
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if m, err := sipmsg.Parse(wire); err == nil {
+				m.Release()
+			}
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(quit) }); <-done }
+}
+
+// stagger holds back one side of a two-way race so that every interleaving
+// gets its turn: a third of the iterations give side 0 a head start long
+// enough to win, a third side 1, and the rest start both within a few
+// microseconds of each other, the offset sliding with the iteration.
+func stagger(i, side int) {
+	var wait time.Duration
+	switch i % 3 {
+	case 0, 1:
+		if side != i%3 {
+			wait = 300 * time.Microsecond
+		}
+	case 2:
+		wait = time.Duration([]int{(i / 3) % 5, (i / 15) % 5}[side]) * 3 * time.Microsecond
+	}
+	for until := time.Now().Add(wait); time.Now().Before(until); {
+	}
+}
+
+// checkOneInviteFinal asserts that nothing sent upstream was built from the
+// churned text and that this call's INVITE got exactly one final, whose
+// status it returns. Messages of earlier calls are Timer G replaying a 408
+// that won its race, and are not this call's business.
+func checkOneInviteFinal(t *testing.T, sent []sentMsg, call string, i int) int {
+	t.Helper()
+	finals, status := 0, 0
+	for _, sm := range sent {
+		switch sm.msg.CallID() {
+		case "poison":
+			t.Fatalf("iteration %d: a %d went upstream carrying the churned call's headers: built from a recycled message",
+				i, sm.msg.StatusCode)
+		case call:
+			if _, method, _ := sm.msg.CSeq(); method == sipmsg.INVITE && sm.msg.StatusCode >= 200 {
+				finals++
+				status = sm.msg.StatusCode
+			}
+		}
+	}
+	if finals != 1 {
+		t.Fatalf("iteration %d: the INVITE got %d finals", i, finals)
+	}
+	return status
+}
+
+// TestRaceMatrixCancel487VsFinal: the CANCEL's worker builds the 487 from
+// inv.Request() while another worker relays the 200 that completes the
+// INVITE and returns its request to the pool. Whichever wins, the INVITE
+// gets one final, the CANCEL its 200, and no response is built from a
+// message that has been recycled.
+func TestRaceMatrixCancel487VsFinal(t *testing.T) {
+	eachShardCount(t, func(t *testing.T, shards int) {
+		v := newRaceEnv(t, shards)
+		idle := sipmsg.PoolOutstanding()
+		stopChurn := churnPool()
+		defer stopChurn()
+		won := map[int]int{}
+		for i := 0; i < 300; i++ {
+			call := fmt.Sprintf("c487-%d-%d", shards, i)
+			s := &fakeSender{}
+			handleWire(t, v, s, wireInvite(call), "caller")
+			proxyVia, _ := s.addrMsgs()[0].msg.Get("Via")
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); stagger(i, 0); handleWire(t, v, s, wireCancel(call), "caller") }()
+			go func() { defer wg.Done(); stagger(i, 1); handleWire(t, v, s, wireOK(call, proxyVia), nil) }()
+			wg.Wait()
+
+			status := checkOneInviteFinal(t, s.originMsgs(), call, i)
+			if status != sipmsg.StatusOK && status != sipmsg.StatusRequestTerminated {
+				t.Fatalf("iteration %d: INVITE final %d", i, status)
+			}
+			won[status]++
+			cancelOKs := 0
+			for _, sm := range s.originMsgs() {
+				if _, method, _ := sm.msg.CSeq(); method == sipmsg.CANCEL && sm.msg.StatusCode == sipmsg.StatusOK {
+					cancelOKs++
+				}
+			}
+			if cancelOKs != 1 {
+				t.Fatalf("iteration %d: CANCEL answered 200 %d times", i, cancelOKs)
+			}
+		}
+		stopChurn()
+		if len(won) != 2 {
+			t.Errorf("finals %v: one side won every race, the other interleaving never ran", won)
+		}
+		// Every transaction terminates; what the 487 ones held for Timer D
+		// comes back too.
+		v.timers.CheckNow(time.Now().Add(2 * time.Hour))
+		if got := sipmsg.PoolOutstanding(); got != idle {
+			t.Errorf("%d pooled messages outstanding after termination, idle was %d", got, idle)
+		}
+	})
+}
+
+// TestRaceMatrixTimerB408VsFinal: Timer B fires on the timer goroutine and
+// builds the 408 from the stored request while a worker relays the
+// downstream 200. One of them completes the transaction; the other finds it
+// answered — and, if it is the timer, its request already given back.
+func TestRaceMatrixTimerB408VsFinal(t *testing.T) {
+	eachShardCount(t, func(t *testing.T, shards int) {
+		v := newRaceEnv(t, shards)
+		timerOut := &fakeSender{}
+		v.engine.SetTimerSender(timerOut)
+		idle := sipmsg.PoolOutstanding()
+		stopChurn := churnPool()
+		defer stopChurn()
+		won := map[int]int{}
+		for i := 0; i < 300; i++ {
+			call := fmt.Sprintf("c408-%d-%d", shards, i)
+			s := &fakeSender{}
+			armed := time.Now()
+			handleWire(t, v, s, wireInvite(call), "caller")
+			proxyVia, _ := s.addrMsgs()[0].msg.Get("Via")
+			var wg sync.WaitGroup
+			wg.Add(2)
+			// Timer B is 50 ms in this environment; no removal timer (1 h)
+			// comes due with it.
+			go func() { defer wg.Done(); stagger(i, 0); v.timers.CheckNow(armed.Add(time.Second)) }()
+			go func() { defer wg.Done(); stagger(i, 1); handleWire(t, v, s, wireOK(call, proxyVia), nil) }()
+			wg.Wait()
+
+			// The 408 leaves through the timer sender, the 200 through the
+			// worker's: look at both.
+			status := checkOneInviteFinal(t, append(s.originMsgs(), timerOut.originMsgs()...), call, i)
+			if status != sipmsg.StatusOK && status != sipmsg.StatusRequestTimeout {
+				t.Fatalf("iteration %d: INVITE final %d", i, status)
+			}
+			won[status]++
+		}
+		stopChurn()
+		if len(won) != 2 {
+			t.Errorf("finals %v: one side won every race, the other interleaving never ran", won)
+		}
+		v.timers.CheckNow(time.Now().Add(2 * time.Hour))
+		if got := sipmsg.PoolOutstanding(); got != idle {
+			t.Errorf("%d pooled messages outstanding after termination, idle was %d", got, idle)
+		}
+	})
+}

@@ -2,9 +2,8 @@ package sipmsg
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -12,22 +11,40 @@ import (
 // compliant with the modern transaction-matching rules.
 const MagicCookie = "z9hG4bK"
 
+// Tokens are "<prefix>-<counter>" in base 36: the counter makes them unique
+// within the process, the prefix — 40 random bits drawn once — keeps two
+// proxies of one deployment from minting the same sequence.
 var (
-	idCounter uint64
-	idRandMu  sync.Mutex
-	idRand    = rand.New(rand.NewSource(0x5317b007)) // deterministic; uniqueness comes from the counter
+	idCounter atomic.Uint64
+	idPrefix  = strconv.FormatUint(rand.Uint64()>>24, 36) + "-"
 )
 
+// maxTokenLen bounds a token: 8 prefix digits, '-', 13 counter digits.
+const maxTokenLen = 22
+
+// appendUniqueToken appends a fresh token to buf: one atomic add, no lock.
+func appendUniqueToken(buf []byte) []byte {
+	buf = append(buf, idPrefix...)
+	return strconv.AppendUint(buf, idCounter.Add(1), 36)
+}
+
 func uniqueToken() string {
-	n := atomic.AddUint64(&idCounter, 1)
-	idRandMu.Lock()
-	r := idRand.Uint64()
-	idRandMu.Unlock()
-	return strconv.FormatUint(r&0xffffff, 36) + "-" + strconv.FormatUint(n, 36)
+	var b [maxTokenLen]byte
+	return string(appendUniqueToken(b[:0]))
+}
+
+// AppendBranch appends a unique RFC 3261 branch parameter value, cookie
+// included, to buf. Callers rendering a whole Via into one buffer use it to
+// mint the branch in place.
+func AppendBranch(buf []byte) []byte {
+	return appendUniqueToken(append(buf, MagicCookie...))
 }
 
 // NewBranch generates a unique RFC 3261 branch parameter.
-func NewBranch() string { return MagicCookie + uniqueToken() }
+func NewBranch() string {
+	var b [len(MagicCookie) + maxTokenLen]byte
+	return string(AppendBranch(b[:0]))
+}
 
 // NewTag generates a From/To tag.
 func NewTag() string { return uniqueToken() }
@@ -94,8 +111,19 @@ func NewRequest(spec RequestSpec) *Message {
 // responses, given toTag when the request's To had none.
 func NewResponse(req *Message, code int, toTag string) *Message {
 	resp := &Message{StatusCode: code, Reason: StatusText(code)}
-	for _, v := range req.GetAll("Via") {
-		resp.Add("Via", v)
+	// Sized for the copied Via stack plus From, To, Call-ID, CSeq and one
+	// header of the caller's (Contact, Retry-After, a challenge).
+	vias := 0
+	for i := range req.Headers {
+		if req.Headers[i].Name == "Via" {
+			vias++
+		}
+	}
+	resp.Headers = make([]Header, 0, vias+5)
+	for i := range req.Headers {
+		if req.Headers[i].Name == "Via" {
+			resp.Headers = append(resp.Headers, req.Headers[i])
+		}
 	}
 	if from, ok := req.Get("From"); ok {
 		resp.Add("From", from)

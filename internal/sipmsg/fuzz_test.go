@@ -94,3 +94,53 @@ func FuzzStreamParser(f *testing.F) {
 		}
 	})
 }
+
+// viaBranchSeeds are Via values on which the scanner and the map-building
+// parser must agree: repeated and flag parameters, odd case and spacing,
+// and the malformed shapes ParseVia rejects.
+var viaBranchSeeds = []string{
+	"SIP/2.0/UDP 10.0.0.1:5071;branch=z9hG4bKabc",
+	"SIP/2.0/UDP 10.0.0.1:5071;rport;branch=z9hG4bKabc;received=1.2.3.4",
+	"SIP/2.0/TCP [::1]:5;BRANCH=z9hG4bKupper",
+	"SIP/2.0/udp  host ; branch=z9hG4bKspaced ; x",
+	"SIP/2.0/UDP h;branch=first;branch=last",
+	"SIP/2.0/UDP h;branch=v;branch",
+	"SIP/2.0/UDP h;branch",
+	"SIP/2.0/UDP h;branch=",
+	"SIP/2.0/UDP h;branch=a=b",
+	"SIP/2.0/UDP h;xbranch=no;branchx=no",
+	"SIP/2.0/UDP h;;;",
+	"SIP/2.0/UDP h",
+	"SIP/2.0/UDP h:99999;branch=z",
+	"SIP/2.0/UDP [::1;branch=z",
+	"SIP/2.0/UDP",
+	"SIP/3.0/UDP h;branch=z",
+	"",
+}
+
+func checkViaBranch(t *testing.T, s string) {
+	t.Helper()
+	got, gotErr := viaBranch(s)
+	v, wantErr := ParseVia(s)
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("viaBranch(%q) error = %v, ParseVia error = %v", s, gotErr, wantErr)
+	}
+	if gotErr == nil && got != v.Branch() {
+		t.Fatalf("viaBranch(%q) = %q, ParseVia(...).Branch() = %q", s, got, v.Branch())
+	}
+}
+
+func TestViaBranchAgreesWithParseVia(t *testing.T) {
+	for _, s := range viaBranchSeeds {
+		checkViaBranch(t, s)
+	}
+}
+
+// FuzzViaBranch holds the map-free branch scanner to the parser it
+// replaces on the transaction-matching path.
+func FuzzViaBranch(f *testing.F) {
+	for _, s := range viaBranchSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkViaBranch(t, s) })
+}

@@ -183,6 +183,13 @@ func (m *Message) BorrowTrace(v any) {
 	m.traceOwned = false
 }
 
+// DisownTrace turns an owned tracing context into a borrowed one: the
+// message keeps pointing at it but no longer recycles it with its last
+// Release. The transaction table calls it on a request it stores, whose
+// timeline is still written to (the final's replays, a retransmission
+// span) after the pooled request has gone back to the pool.
+func (m *Message) DisownTrace() { m.traceOwned = false }
+
 // TraceContext returns the riding tracing context, or nil.
 func (m *Message) TraceContext() any { return m.trace }
 
@@ -195,15 +202,36 @@ const (
 
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
+// The pool's ledger: messages handed out by Get and messages whose last
+// reference came back through Release. A double Release panics; a Release
+// that never happens shows up here.
+var poolGets, poolPuts atomic.Int64
+
+// PoolOutstanding returns how many pooled messages are currently held by
+// someone: handed out and not yet fully released. On an idle process it is
+// zero; a value that climbs with traffic is a leaked reference.
+func PoolOutstanding() int64 {
+	// Puts first: a message released between the two loads must not read
+	// as a negative count.
+	puts := poolPuts.Load()
+	return poolGets.Load() - puts
+}
+
 // Get returns an empty Message from the pool with one reference held by
 // the caller. Pair it with Release; Parse and StreamParser.Next use it
 // internally, so every received message participates in the pool.
 func Get() *Message {
+	poolGets.Add(1)
 	m := msgPool.Get().(*Message)
 	m.pooled = true
 	m.refs.Store(1)
 	return m
 }
+
+// Pooled reports whether m came out of the pool (Get, Parse, a Reader) and is
+// therefore recycled at its last Release, as opposed to a built message,
+// which belongs to the garbage collector.
+func (m *Message) Pooled() bool { return m.pooled }
 
 // Retain adds a reference so the message survives the receive loop's
 // Release (the transaction table retains stored requests). No-op for
@@ -234,6 +262,7 @@ func (m *Message) Release() {
 	}
 	m.reset()
 	msgPool.Put(m)
+	poolPuts.Add(1)
 }
 
 // reset clears the message for pool reuse, keeping modestly sized buffers.
@@ -466,17 +495,32 @@ func (m *Message) CSeq() (uint32, Method, error) {
 	return ParseCSeq(v)
 }
 
-// ParseCSeq parses a CSeq header value of the form "<seq> <METHOD>".
+// ParseCSeq parses a CSeq header value of the form "<seq> <METHOD>". It
+// does not allocate when the method is spelled in upper case.
 func ParseCSeq(v string) (uint32, Method, error) {
-	fields := strings.Fields(v)
-	if len(fields) != 2 {
+	num, rest := nextField(v)
+	method, rest := nextField(rest)
+	if extra, _ := nextField(rest); method == "" || extra != "" {
 		return 0, "", fmt.Errorf("sipmsg: malformed CSeq %q", v)
 	}
-	n, err := strconv.ParseUint(fields[0], 10, 32)
+	n, err := strconv.ParseUint(num, 10, 32)
 	if err != nil {
-		return 0, "", fmt.Errorf("sipmsg: malformed CSeq number %q: %v", fields[0], err)
+		return 0, "", fmt.Errorf("sipmsg: malformed CSeq number %q: %v", num, err)
 	}
-	return uint32(n), Method(strings.ToUpper(fields[1])), nil
+	return uint32(n), Method(strings.ToUpper(method)), nil
+}
+
+// nextField splits off the first run of non-whitespace in s.
+func nextField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) && asciiSpace(s[i]) {
+		i++
+	}
+	j := i
+	for j < len(s) && !asciiSpace(s[j]) {
+		j++
+	}
+	return s[i:j], s[j:]
 }
 
 // MaxForwards returns the Max-Forwards value, or def when absent/garbled.
@@ -521,25 +565,50 @@ func tagOf(m *Message, name string) string {
 	return na.Params["tag"]
 }
 
+// TopViaBranch returns the branch parameter of the first Via header ("" when
+// it has none), or an error if the Via is absent or malformed: TopVia
+// followed by Branch, without the parameter map.
+func (m *Message) TopViaBranch() (string, error) {
+	v, ok := m.Get("Via")
+	if !ok {
+		return "", fmt.Errorf("sipmsg: missing Via")
+	}
+	return viaBranch(v)
+}
+
+// TransactionID returns what identifies the transaction a message belongs
+// to under the RFC 3261 §17.2.3 rule for z9hG4bK branches: the top Via's
+// branch and the CSeq method. MatchParts-style lookups take the two parts
+// as they are; TransactionKey joins them.
+func (m *Message) TransactionID() (branch string, method Method, err error) {
+	branch, err = m.TopViaBranch()
+	if err != nil {
+		return "", "", err
+	}
+	if branch == "" {
+		return "", "", fmt.Errorf("sipmsg: top Via has no branch")
+	}
+	_, method, err = m.CSeq()
+	return branch, method, err
+}
+
 // TransactionKey identifies the transaction a message belongs to, following
 // the RFC 3261 §17.2.3 rule for z9hG4bK branches: top Via branch + CSeq
 // method (so that an ACK for a non-2xx response matches its INVITE's
 // transaction; a CANCEL constructs its own server transaction and keys as
 // itself — callers cancel the INVITE by looking up branch+INVITE).
 func (m *Message) TransactionKey() (string, error) {
-	via, err := m.TopVia()
+	branch, method, err := m.TransactionID()
 	if err != nil {
 		return "", err
 	}
-	branch := via.Branch()
-	if branch == "" {
-		return "", fmt.Errorf("sipmsg: top Via has no branch")
-	}
-	_, method, err := m.CSeq()
-	if err != nil {
-		return "", err
-	}
-	return branch + "|" + string(TransactionMethod(method)), nil
+	return JoinTransactionKey(branch, method), nil
+}
+
+// JoinTransactionKey renders the "branch|METHOD" key of a transaction
+// whose parts are already in hand.
+func JoinTransactionKey(branch string, method Method) string {
+	return branch + "|" + string(TransactionMethod(method))
 }
 
 // TransactionMethod maps a CSeq method to the method its transaction is
@@ -556,7 +625,35 @@ func TransactionMethod(method Method) Method {
 // Clone returns a deep copy of the message. Clones are always built
 // (non-pooled) messages with no cached wire form, independent of the
 // original's lifecycle.
-func (m *Message) Clone() *Message {
+func (m *Message) Clone() *Message { return m.CloneWithHeadroom(0) }
+
+// CloneWithHeadroom is Clone with room for extra more headers, so that a
+// proxy pushing its Via (and Record-Route) onto the copy does not grow the
+// header slice a second time.
+func (m *Message) CloneWithHeadroom(extra int) *Message {
+	c := m.cloneHead()
+	c.Headers = make([]Header, len(m.Headers), len(m.Headers)+extra)
+	copy(c.Headers, m.Headers)
+	return c
+}
+
+// CloneWithoutTopVia is Clone minus the first Via header: the copy of a
+// response a proxy relays upstream, allocated at its final size. It returns
+// nil when m has no Via.
+func (m *Message) CloneWithoutTopVia() *Message {
+	for i := range m.Headers {
+		if m.Headers[i].Name == "Via" {
+			c := m.cloneHead()
+			c.Headers = make([]Header, len(m.Headers)-1)
+			copy(c.Headers[copy(c.Headers, m.Headers[:i]):], m.Headers[i+1:])
+			return c
+		}
+	}
+	return nil
+}
+
+// cloneHead copies everything of m but its headers into a new built message.
+func (m *Message) cloneHead() *Message {
 	c := &Message{
 		IsRequest:  m.IsRequest,
 		Method:     m.Method,
@@ -564,8 +661,6 @@ func (m *Message) Clone() *Message {
 		StatusCode: m.StatusCode,
 		Reason:     m.Reason,
 	}
-	c.Headers = make([]Header, len(m.Headers))
-	copy(c.Headers, m.Headers)
 	if m.Body != nil {
 		c.Body = make([]byte, len(m.Body))
 		copy(c.Body, m.Body)

@@ -276,6 +276,37 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestCloneVariants holds the two sized copies a proxy makes to what Clone
+// plus the header edit they replace would give.
+func TestCloneVariants(t *testing.T) {
+	m, _ := Parse([]byte("SIP/2.0 200 OK\r\nFrom: <sip:a@x>;tag=1\r\nVia: SIP/2.0/UDP p;branch=z9hG4bKp\r\n" +
+		"Via: SIP/2.0/UDP c;branch=z9hG4bKc\r\nTo: <sip:b@y>;tag=2\r\nCall-ID: k\r\nCSeq: 1 INVITE\r\n\r\n"))
+	defer m.Release()
+	want := m.Clone()
+	want.RemoveFirst("Via")
+	got := m.CloneWithoutTopVia()
+	if got.String() != want.String() {
+		t.Errorf("CloneWithoutTopVia:\n%s\nwant:\n%s", got, want)
+	}
+	if len(got.Headers) != cap(got.Headers) {
+		t.Errorf("CloneWithoutTopVia allocated %d header slots for %d headers", cap(got.Headers), len(got.Headers))
+	}
+	if (&Message{StatusCode: 200}).CloneWithoutTopVia() != nil {
+		t.Error("CloneWithoutTopVia invented a copy of a message with no Via")
+	}
+
+	room := m.CloneWithHeadroom(2)
+	if room.String() != m.String() {
+		t.Error("CloneWithHeadroom changed the message")
+	}
+	before := &room.Headers[:1][0]
+	room.Prepend("Via", "SIP/2.0/UDP q;branch=z9hG4bKq")
+	room.Prepend("Record-Route", "<sip:q;lr>")
+	if &room.Headers[:1][0] != before {
+		t.Error("two Prepends on a copy with headroom 2 reallocated its headers")
+	}
+}
+
 func TestMaxForwards(t *testing.T) {
 	m := &Message{}
 	if got := m.MaxForwards(70); got != 70 {

@@ -3,6 +3,7 @@ package sipmsg
 import (
 	"bytes"
 	"strconv"
+	"sync"
 )
 
 // AppendTo appends the wire form of the message to buf and returns the
@@ -58,6 +59,30 @@ func (m *Message) Serialize() []byte {
 	m.wire = m.AppendTo(m.wire[:0])
 	m.wireOK = true
 	return m.wire
+}
+
+// WireBuf is the wire form of one message in a buffer on loan from a pool:
+// Bytes is valid until Release.
+type WireBuf struct{ Bytes []byte }
+
+var wireBufs = sync.Pool{New: func() any { return new(WireBuf) }}
+
+// RenderWire serializes m into a pooled buffer, for send paths that write
+// the bytes out (or copy them into a batch) before returning. Unlike
+// Serialize it allocates nothing per send and leaves no wire image attached
+// to the message — which, for a final response the transaction table keeps
+// for replay, would otherwise stay resident for the whole linger window.
+func (m *Message) RenderWire() *WireBuf {
+	w := wireBufs.Get().(*WireBuf)
+	w.Bytes = m.AppendTo(w.Bytes[:0])
+	return w
+}
+
+// Release returns the buffer to the pool; Bytes must not be used afterwards.
+func (w *WireBuf) Release() {
+	if cap(w.Bytes) <= maxPooledBuffer {
+		wireBufs.Put(w)
+	}
 }
 
 // WriteTo renders the message into buf in wire format.

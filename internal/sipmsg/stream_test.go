@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -265,14 +267,36 @@ func TestBuilders(t *testing.T) {
 	}
 }
 
+// TestNewBranchUnique mints tokens from 8 goroutines at once (run it under
+// -race): every branch carries the RFC 3261 cookie and none repeats, and no
+// tag collides with another either.
 func TestNewBranchUnique(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := 0; i < 10000; i++ {
-		b := NewBranch()
-		if seen[b] {
-			t.Fatalf("duplicate branch %q", b)
+	const goroutines, each = 8, 100000
+	out := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			toks := make([]string, 0, each)
+			for i := 0; i < each/2; i++ {
+				toks = append(toks, NewBranch(), MagicCookie+NewTag())
+			}
+			out[g] = toks
+		}(g)
+	}
+	wg.Wait()
+	seen := make(map[string]struct{}, goroutines*each)
+	for _, toks := range out {
+		for _, b := range toks {
+			if !strings.HasPrefix(b, MagicCookie) || len(b) > len(MagicCookie)+maxTokenLen {
+				t.Fatalf("malformed branch %q", b)
+			}
+			if _, dup := seen[b]; dup {
+				t.Fatalf("duplicate token %q", b)
+			}
+			seen[b] = struct{}{}
 		}
-		seen[b] = true
 	}
 }
 

@@ -314,31 +314,74 @@ type Via struct {
 
 // ParseVia parses a single Via header value.
 func ParseVia(s string) (Via, error) {
+	v, params, err := parseViaHead(s)
+	if err == nil && params != "" {
+		v.Params = parseParams(params)
+	}
+	return v, err
+}
+
+// parseViaHead parses everything of a Via value but its parameters, which
+// it returns unparsed (without the leading ';').
+func parseViaHead(s string) (v Via, params string, err error) {
 	s = strings.TrimSpace(s)
-	var v Via
 	rest, ok := strings.CutPrefix(s, "SIP/2.0/")
 	if !ok {
-		return v, fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
+		return v, "", fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
 	}
 	sp := strings.IndexAny(rest, " \t")
 	if sp < 0 {
-		return v, fmt.Errorf("sipmsg: Via %q: missing sent-by", s)
+		return v, "", fmt.Errorf("sipmsg: Via %q: missing sent-by", s)
 	}
 	v.Transport = strings.ToUpper(rest[:sp])
 	rest = strings.TrimSpace(rest[sp+1:])
-	var paramsPart string
 	if i := strings.IndexByte(rest, ';'); i >= 0 {
-		rest, paramsPart = rest[:i], rest[i+1:]
+		rest, params = rest[:i], rest[i+1:]
 	}
 	host, port, err := splitHostPort(strings.TrimSpace(rest))
 	if err != nil {
-		return v, fmt.Errorf("sipmsg: Via %q: %v", s, err)
+		return v, "", fmt.Errorf("sipmsg: Via %q: %v", s, err)
 	}
 	v.Host, v.Port = host, port
-	if paramsPart != "" {
-		v.Params = parseParams(paramsPart)
+	return v, params, nil
+}
+
+// viaBranch returns the branch parameter of a Via header value ("" when it
+// has none) — what ParseVia(s) followed by Branch() returns, malformed
+// values rejected alike, without building the parameter map. Transaction
+// matching needs nothing else of a Via, and does this once per message.
+func viaBranch(s string) (string, error) {
+	_, params, err := parseViaHead(s)
+	if err != nil {
+		return "", err
 	}
-	return v, nil
+	return paramValue(params, "branch"), nil
+}
+
+// paramValue scans ";"-separated parameters for name and returns what
+// parseParams(s)[name] would: the last occurrence wins, a flag parameter
+// reads as "". Keys compare by EqualFold where parseParams lowercases them;
+// the two differ only on U+017F, U+0130 and U+212A, which fold to s, i and
+// k — letters "branch", the one name looked up this way, does not have.
+func paramValue(s, name string) string {
+	val := ""
+	for s != "" {
+		kv := s
+		if i := strings.IndexByte(s, ';'); i >= 0 {
+			kv, s = s[:i], s[i+1:]
+		} else {
+			s = ""
+		}
+		kv = strings.TrimSpace(kv)
+		key, v := kv, ""
+		if i := strings.IndexByte(kv, '='); i >= 0 {
+			key, v = kv[:i], kv[i+1:]
+		}
+		if strings.EqualFold(key, name) {
+			val = v
+		}
+	}
+	return val
 }
 
 // Branch returns the branch parameter, or "".
@@ -346,17 +389,16 @@ func (v Via) Branch() string { return v.Params["branch"] }
 
 // String renders the Via header value.
 func (v Via) String() string {
-	var b strings.Builder
-	b.WriteString("SIP/2.0/")
-	b.WriteString(v.Transport)
-	b.WriteByte(' ')
-	b.WriteString(v.Host)
+	var b [128]byte
+	buf := append(b[:0], "SIP/2.0/"...)
+	buf = append(buf, v.Transport...)
+	buf = append(buf, ' ')
+	buf = append(buf, v.Host...)
 	if v.Port != 0 {
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(v.Port))
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(v.Port), 10)
 	}
-	b.WriteString(formatParams(v.Params))
-	return b.String()
+	return string(appendParams(buf, v.Params))
 }
 
 // SentBy returns the "host:port" the Via names, defaulting the port.

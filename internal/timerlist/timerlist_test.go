@@ -2,6 +2,7 @@ package timerlist
 
 import (
 	"container/heap"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,5 +209,74 @@ func TestConcurrentScheduleAndCheck(t *testing.T) {
 	}
 	if fired.Load() != 400 {
 		t.Errorf("fired %d, want 400", fired.Load())
+	}
+}
+
+// TestCancelReleasesCallback is the retention property for both
+// implementations: once Cancel returns, nothing the callback closed over is
+// reachable through the scheduler, even though the heap keeps the cancelled
+// Timer resident until its deadline. The sentinel stands for the transaction
+// and the messages a Timer B closure pins.
+func TestCancelReleasesCallback(t *testing.T) {
+	for _, impl := range []Impl{ImplHeap, ImplWheel} {
+		t.Run(string(impl), func(t *testing.T) {
+			s, err := NewScheduler(impl, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			collected := make(chan struct{})
+			tm := func() *Timer {
+				sentinel := new([64]byte)
+				runtime.SetFinalizer(sentinel, func(*[64]byte) { close(collected) })
+				return s.After(32*time.Second, func() { sentinel[0]++ })
+			}()
+			tm.Cancel()
+			if impl == ImplHeap && s.Len() != 1 {
+				t.Fatalf("heap Len = %d after Cancel, want the corpse still resident", s.Len())
+			}
+			deadline := time.After(5 * time.Second)
+			for {
+				runtime.GC()
+				select {
+				case <-collected:
+					runtime.KeepAlive(tm) // the corpse itself was reachable all along
+					return
+				case <-deadline:
+					t.Fatal("the cancelled timer's closure is still reachable")
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		})
+	}
+}
+
+// TestCorpseBytes pins what the package doc promises about the heap policy:
+// a cancelled timer awaiting its deadline costs the Timer and its heap
+// slot, about 100 B, whatever its callback had captured.
+func TestCorpseBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under the race detector")
+	}
+	l := NewManual()
+	defer l.Close()
+	const n = 100000
+	l.h = make(timerHeap, 0, n) // the slots are counted apart from the slice's growth
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		payload := make([]byte, 1024)
+		l.After(32*time.Second, func() { payload[0]++ }).Cancel()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := l.CancelledResident(); got != n {
+		t.Fatalf("CancelledResident = %d, want %d", got, n)
+	}
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%.0f B per corpse (+8 B heap slot)", per)
+	if per+8 > 128 {
+		t.Errorf("a corpse costs %.0f B, want at most 128", per+8)
 	}
 }

@@ -124,6 +124,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Transaction is one proxied request in flight.
+//
+// What it holds is set by its state, not by its longest timer (the table is
+// in DESIGN.md §5): while Proceeding, both request legs, the downstream
+// route and the freshest provisional; once a 2xx or a non-INVITE final went
+// upstream, only what replaying that final takes — lastResp, the keys,
+// Origin; after a non-2xx INVITE final, the legs too, until Timer D,
+// because the ACK and a deferred CANCEL are derived from them; once
+// Terminated, nothing. Every stored message carries a reference of the
+// table's own, given back the moment the state stops needing the message,
+// so a parsed request returns to sipmsg's pool at its final instead of
+// waiting out Timer B in a cancelled timer's closure.
 type Transaction struct {
 	mu sync.Mutex
 
@@ -145,13 +156,18 @@ type Transaction struct {
 	// final, a deferred CANCEL — can follow the same path. Opaque here.
 	downRoute any
 
+	// trace is the request's tracing context (nil when the call is not
+	// traced), taken over at Create: the timeline runs until the last
+	// response is replayed, longer than the pooled request lives. Opaque
+	// here, immutable after Create.
+	trace any
+
 	srvMachine Machine
 	cliMachine Machine
 	srv        FSMState // server (upstream) machine state
 	cli        FSMState // client (downstream) machine state; FInit until forwarded
 
-	state   State // collapsed view: Proceeding/Completed/Terminated
-	created time.Time
+	state State // collapsed view: Proceeding/Completed/Terminated
 
 	// CANCEL/forward race protocol: RequestCancel and MarkForwardSent
 	// exchange these flags under mu so a CANCEL that arrives while the
@@ -166,6 +182,24 @@ type Transaction struct {
 
 	attempts      int // client request retransmissions (Timer A/E)
 	finalAttempts int // server final retransmissions (Timer G)
+}
+
+// store puts m into a message slot of the transaction: the table takes a
+// reference of its own on m and gives back the one it held on the slot's
+// previous occupant. Both are no-ops for built (non-pooled) messages.
+func store(slot **sipmsg.Message, m *sipmsg.Message) {
+	old := *slot
+	*slot = m.Retain()
+	old.Release()
+}
+
+// releaseLegsLocked gives back what only an unanswered transaction (or one
+// awaiting the ACK of its non-2xx INVITE final) needs: both request legs
+// and the downstream route. Caller holds t.mu.
+func (t *Transaction) releaseLegsLocked() {
+	store(&t.req, nil)
+	store(&t.fwd, nil)
+	t.downRoute = nil
 }
 
 // State returns the transaction's collapsed state.
@@ -190,35 +224,56 @@ func (t *Transaction) ClientState() FSMState {
 	return t.cli
 }
 
-// Request returns the original incoming request.
-func (t *Transaction) Request() *sipmsg.Message { return t.req }
+// Request, Forwarded and LastResponse hand a stored message to code that
+// runs outside t.mu, while another worker or the timer goroutine may be
+// completing the transaction. Each returns the message with a reference the
+// caller must Release, or nil once the transaction has given it back.
 
-// Forwarded returns the forwarded request, or nil before SetForwarded.
+// Request returns the original incoming request, held until the final
+// response (until Timer D after a non-2xx INVITE final).
+func (t *Transaction) Request() *sipmsg.Message {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.req.Retain()
+}
+
+// Forwarded returns the forwarded request: nil before SetForwarded, and
+// again once the transaction no longer holds its legs.
 func (t *Transaction) Forwarded() *sipmsg.Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.fwd
-}
-
-// DownRoute returns the opaque downstream route stored by SetForwarded.
-func (t *Transaction) DownRoute() any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.downRoute
+	return t.fwd.Retain()
 }
 
 // LastResponse returns the most recent response sent upstream, or nil.
 func (t *Transaction) LastResponse() *sipmsg.Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lastResp
+	return t.lastResp.Retain()
+}
+
+// IsInvite reports whether the transaction was created by an INVITE.
+func (t *Transaction) IsInvite() bool { return t.srvMachine == MachineInviteServer }
+
+// TraceContext returns the tracing context the request carried when the
+// transaction was created, or nil.
+func (t *Transaction) TraceContext() any { return t.trace }
+
+// DownRoute returns the opaque downstream route stored by SetForwarded,
+// held as long as the forwarded request is.
+func (t *Transaction) DownRoute() any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.downRoute
 }
 
 // RecordUpstreamResponse remembers a response replayed to retransmitted
 // requests (e.g. the proxy's own 100 Trying).
 func (t *Transaction) RecordUpstreamResponse(resp *sipmsg.Message) {
 	t.mu.Lock()
-	t.lastResp = resp
+	if t.state != StateTerminated {
+		store(&t.lastResp, resp)
+	}
 	t.mu.Unlock()
 }
 
@@ -245,7 +300,7 @@ func (t *Transaction) FinalAttempts() int {
 // MarkForwardSent and sends the CANCEL itself right after the INVITE, so
 // the CANCEL can never overtake (or be dropped before) the request it
 // cancels. Otherwise fwd is the forwarded request to derive the downstream
-// CANCEL from.
+// CANCEL from, with a reference the caller must Release.
 func (t *Transaction) RequestCancel() (fwd *sipmsg.Message, deferred, alreadyFinal bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -256,7 +311,7 @@ func (t *Transaction) RequestCancel() (fwd *sipmsg.Message, deferred, alreadyFin
 	if !t.forwardSent {
 		return nil, true, false
 	}
-	return t.fwd, false, false
+	return t.fwd.Retain(), false, false
 }
 
 // MarkForwardSent records that the forwarded request is on the wire and
@@ -363,17 +418,16 @@ func (tb *Table) Create(upKey string, req *sipmsg.Message, origin any) (tx *Tran
 		srvM, cliM = MachineInviteServer, MachineInviteClient
 	}
 	srv, _ := Init(srvM, false)
-	// The table owns a reference to the stored request so the receive loop
-	// can release its own after Handle returns. The reference is deliberately
-	// never released at Terminate: late retransmit closures and Match-then-use
-	// callers may still hold the transaction, so reclaiming the request here
-	// would race; terminated transactions simply leave their request to the
-	// GC, which is cheap at transaction (not message) rates.
+	// The table takes its own reference on the request, so the receive loop
+	// can release its own after Handle returns, and its timeline with it:
+	// the message goes back to the pool at the final response, the timeline
+	// is still written to when that response is replayed.
+	req.DisownTrace()
 	tx = &Transaction{
 		upKey:      upKey,
 		req:        req.Retain(),
 		Origin:     origin,
-		created:    time.Now(),
+		trace:      req.TraceContext(),
 		srvMachine: srvM,
 		cliMachine: cliM,
 		srv:        srv,
@@ -390,6 +444,7 @@ func (tb *Table) Create(upKey string, req *sipmsg.Message, origin any) (tx *Tran
 // OnRetransmit runs a retransmitted request through the server machine and
 // returns the response to replay upstream, or nil to absorb silently (a
 // non-INVITE transaction still in Trying has nothing to replay; §17.2.2).
+// The caller must Release the response it is given.
 //
 // A 2xx INVITE final is the one departure from the machine: §17.2.1 hands
 // 2xx retransmission to the TU and terminates, but this proxy keeps the
@@ -401,14 +456,14 @@ func (tb *Table) OnRetransmit(tx *Transaction) *sipmsg.Message {
 	next, act, ok := Step(tx.srvMachine, tx.srv, EvRequest, false)
 	if !ok {
 		if tx.srvMachine == MachineInviteServer && tx.srv == FTerminated &&
-			tx.state == StateCompleted && tx.lastResp != nil {
-			return tx.lastResp
+			tx.state == StateCompleted {
+			return tx.lastResp.Retain()
 		}
 		return nil
 	}
 	tx.srv = next
 	if act&ActReplay != 0 {
-		return tx.lastResp
+		return tx.lastResp.Retain()
 	}
 	return nil
 }
@@ -417,15 +472,22 @@ func (tb *Table) OnRetransmit(tx *Transaction) *sipmsg.Message {
 // downstream responses can be matched, stores the forwarded message for
 // retransmission, and starts the client machine (Calling for INVITE,
 // Trying otherwise). downRoute is the opaque downstream destination,
-// replayed by ACK/CANCEL sends.
+// replayed by ACK/CANCEL sends. The table takes its own reference on fwd. A
+// transaction terminated in the meantime is left alone: nothing would ever
+// remove its index entry again.
 func (tb *Table) SetForwarded(tx *Transaction, downKey string, fwd *sipmsg.Message, downRoute any) {
 	cli, _ := Init(tx.cliMachine, false)
 	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if tx.state == StateTerminated {
+		return
+	}
 	tx.downKey = downKey
-	tx.fwd = fwd
+	store(&tx.fwd, fwd)
 	tx.downRoute = downRoute
 	tx.cli = cli
-	tx.mu.Unlock()
+	// Indexed under tx.mu, so Terminate either sees downKey and removes the
+	// entry or has already run. No path takes a shard lock before tx.mu.
 	sh := tb.shardFor(downKey)
 	tb.lock(sh)
 	sh.m[downKey] = tx
@@ -472,22 +534,34 @@ func (tb *Table) MatchParts(branch string, method sipmsg.Method) *Transaction {
 // Match returns any transaction indexed under key, or nil.
 func (tb *Table) Match(key string) *Transaction { return tb.MatchResponse(key) }
 
+// ClientTimerHandler is the TU's side of a transaction's client timers. The
+// table calls it from the timer goroutine, holding none of its locks. One
+// handler serves every transaction (the proxy engine implements it), so
+// arming the timers allocates the timers and nothing else.
+type ClientTimerHandler interface {
+	// RetransmitRequest is Timer A/E: the forwarded request is still
+	// unanswered and goes downstream again.
+	RetransmitRequest(tx *Transaction, fwd *sipmsg.Message)
+	// RequestTimedOut is Timer B/F: the client leg gave up, and the TU
+	// answers upstream (408).
+	RequestTimedOut(tx *Transaction)
+}
+
 // ArmClientTimers starts the client machine's timers for an unreliable
 // transport: the Timer A/E retransmission cycle (T1 doubling; E capped at
-// T2) invoking send with the forwarded request, and the Timer B/F
-// transaction timeout invoking expire once. Reliable transports never call
-// this — "the timer process is superfluous for TCP".
-func (tb *Table) ArmClientTimers(tx *Transaction, send func(*sipmsg.Message), expire func()) {
-	timeoutEv := EvTimerB
-	if tx.cliMachine == MachineNonInviteClient {
-		timeoutEv = EvTimerF
-	}
+// T2) and the Timer B/F transaction timeout, both delivered to h. Reliable
+// transports never call this — "the timer process is superfluous for TCP".
+func (tb *Table) ArmClientTimers(tx *Transaction, h ClientTimerHandler) {
 	tx.mu.Lock()
 	if tx.cli == FInit || tx.cli == FTerminated || tx.state != StateProceeding {
 		tx.mu.Unlock()
 		return
 	}
 	tx.timeoutTimer = tb.timers.After(tb.cfg.TimerB, func() {
+		timeoutEv := EvTimerB
+		if tx.cliMachine == MachineNonInviteClient {
+			timeoutEv = EvTimerF
+		}
 		tx.mu.Lock()
 		if tx.state != StateProceeding {
 			tx.mu.Unlock()
@@ -501,20 +575,20 @@ func (tb *Table) ArmClientTimers(tx *Transaction, send func(*sipmsg.Message), ex
 		tx.cli = next
 		tx.mu.Unlock()
 		if act&ActTimeoutTU != 0 {
-			expire()
+			h.RequestTimedOut(tx)
 		}
 	})
-	tb.armClientRetransLocked(tx, tb.cfg.T1, send)
+	tb.armClientRetransLocked(tx, tb.cfg.T1, h)
 	tx.mu.Unlock()
 }
 
 // armClientRetransLocked arms one Timer A/E firing. Caller holds tx.mu.
-func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, send func(*sipmsg.Message)) {
-	ev := EvTimerA
-	if tx.cliMachine == MachineNonInviteClient {
-		ev = EvTimerE
-	}
+func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, h ClientTimerHandler) {
 	tx.retransTimer = tb.timers.After(next, func() {
+		ev := EvTimerA
+		if tx.cliMachine == MachineNonInviteClient {
+			ev = EvTimerE
+		}
 		tx.mu.Lock()
 		if tx.state != StateProceeding {
 			tx.mu.Unlock()
@@ -532,19 +606,20 @@ func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, sen
 			tx.mu.Unlock()
 			return
 		}
-		fwd := tx.fwd
+		fwd := tx.fwd.Retain()
 		tx.attempts++
 		if act&ActArmRetrans != 0 {
 			interval := next * 2
 			if ev == EvTimerE && interval > tb.cfg.T2 {
 				interval = tb.cfg.T2
 			}
-			tb.armClientRetransLocked(tx, interval, send)
+			tb.armClientRetransLocked(tx, interval, h)
 		}
 		tx.mu.Unlock()
 		if fwd != nil {
 			tb.retransmits.Inc()
-			send(fwd)
+			h.RetransmitRequest(tx, fwd)
+			fwd.Release()
 		}
 	})
 }
@@ -582,7 +657,7 @@ func (tb *Table) OnClientResponse(tx *Transaction, resp *sipmsg.Message) RespDis
 		if snext, _, sok := Step(tx.srvMachine, tx.srv, Ev1xx, false); sok {
 			tx.srv = snext
 		}
-		tx.lastResp = resp
+		store(&tx.lastResp, resp)
 		if code == 100 {
 			return RespAbsorb100
 		}
@@ -651,12 +726,17 @@ func (tb *Table) OnAck(tx *Transaction) AckDisposition {
 // SendFinal transitions the transaction to Completed: the final response
 // is about to go upstream. Client timers stop, the pending gauge drops,
 // and the entry is scheduled for removal (Timer D for a non-2xx INVITE
-// final, Linger otherwise). For a non-2xx INVITE final over an unreliable
-// transport, pass a non-nil replay to arm the §17.2.1 ACK wait: the final
-// is retransmitted via replay on Timer G (T1 doubling, capped T2) until
-// the ACK confirms the transaction or Timer H fires; pass nil over
-// reliable transports (or for non-INVITE/2xx finals, where it is ignored).
-// Returns false if a final was already sent (duplicate finals are dropped).
+// final, Linger otherwise). Only a non-2xx INVITE final keeps the request
+// legs past this point — the ACK it provokes downstream and a CANCEL still
+// owed to the next hop are derived from them; any other final needs nothing
+// but itself to be replayed, and the legs are given back here.
+//
+// For a non-2xx INVITE final over an unreliable transport, pass a non-nil
+// replay to arm the §17.2.1 ACK wait: the final is retransmitted via replay
+// on Timer G (T1 doubling, capped T2) until the ACK confirms the
+// transaction or Timer H fires; pass nil over reliable transports (or for
+// non-INVITE/2xx finals, where it is ignored). Returns false if a final was
+// already sent (duplicate finals are dropped).
 //
 // Departure from a literal §17.2.1: a 2xx moves the real machine straight
 // to Terminated (the 2xx ACK is end-to-end), but the entry stays in the
@@ -681,7 +761,7 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 	}
 	tx.srv = next
 	tx.state = StateCompleted
-	tx.lastResp = resp
+	store(&tx.lastResp, resp)
 	if tx.retransTimer != nil {
 		tx.retransTimer.Cancel()
 		tx.retransTimer = nil
@@ -693,6 +773,8 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 	linger := tb.cfg.Linger
 	if tx.srvMachine == MachineInviteServer && code >= 300 {
 		linger = tb.cfg.TimerD
+	} else {
+		tx.releaseLegsLocked()
 	}
 	tx.removeTimer = tb.timers.After(linger, func() { tb.Terminate(tx) })
 	if replay != nil && act&ActArmRetrans != 0 {
@@ -730,7 +812,7 @@ func (tb *Table) armFinalRetransLocked(tx *Transaction, next time.Duration, repl
 			tx.mu.Unlock()
 			return
 		}
-		resp := tx.lastResp
+		resp := tx.lastResp.Retain()
 		tx.finalAttempts++
 		if act&ActArmRetrans != 0 {
 			interval := next * 2
@@ -743,11 +825,13 @@ func (tb *Table) armFinalRetransLocked(tx *Transaction, next time.Duration, repl
 		if resp != nil {
 			tb.finalRetrans.Inc()
 			replay(resp)
+			resp.Release()
 		}
 	})
 }
 
-// Terminate removes the transaction from the table immediately.
+// Terminate removes the transaction from the table immediately and gives
+// back every message it still held.
 func (tb *Table) Terminate(tx *Transaction) {
 	tx.mu.Lock()
 	if tx.state == StateTerminated {
@@ -770,6 +854,8 @@ func (tb *Table) Terminate(tx *Transaction) {
 		tx.removeTimer.Cancel()
 		tx.removeTimer = nil
 	}
+	tx.releaseLegsLocked()
+	store(&tx.lastResp, nil)
 	up, down := tx.upKey, tx.downKey
 	tx.mu.Unlock()
 	if wasProceeding {

@@ -154,6 +154,15 @@ func TestLingerThenRemoval(t *testing.T) {
 	}
 }
 
+// timerFuncs adapts two closures to ClientTimerHandler.
+type timerFuncs struct {
+	send   func(*sipmsg.Message)
+	expire func()
+}
+
+func (f timerFuncs) RetransmitRequest(_ *Transaction, fwd *sipmsg.Message) { f.send(fwd) }
+func (f timerFuncs) RequestTimedOut(*Transaction)                          { f.expire() }
+
 func TestRetransmitScheduleDoubles(t *testing.T) {
 	tb, timers := newTestTable(Config{T1: 10 * time.Millisecond, TimerB: 70 * time.Millisecond})
 	req := inviteReq("c6")
@@ -165,14 +174,14 @@ func TestRetransmitScheduleDoubles(t *testing.T) {
 	var sends []time.Duration
 	expired := false
 	base := time.Now()
-	tb.ArmClientTimers(tx,
-		func(m *sipmsg.Message) {
+	tb.ArmClientTimers(tx, timerFuncs{
+		send: func(*sipmsg.Message) {
 			mu.Lock()
 			sends = append(sends, 0)
 			mu.Unlock()
 		},
-		func() { expired = true },
-	)
+		expire: func() { expired = true },
+	})
 	// Walk virtual time: fires at 10, 30, 70 (cumulative) then TimerB.
 	for _, at := range []time.Duration{5, 10, 20, 30, 50, 70, 100, 200} {
 		timers.CheckNow(base.Add(at * time.Millisecond))
@@ -198,7 +207,7 @@ func TestCompleteStopsRetransmission(t *testing.T) {
 	tb.SetForwarded(tx, "dk|INVITE", req.Clone(), nil)
 
 	sent := 0
-	tb.ArmClientTimers(tx, func(*sipmsg.Message) { sent++ }, func() {})
+	tb.ArmClientTimers(tx, timerFuncs{send: func(*sipmsg.Message) { sent++ }, expire: func() {}})
 	tb.SendFinal(tx, sipmsg.NewResponse(req, sipmsg.StatusOK, "g"), nil)
 	timers.CheckNow(time.Now().Add(time.Minute))
 	if sent != 0 {

@@ -17,6 +17,12 @@ type Backend interface {
 	Len() int
 }
 
+// bulkStorer is a Backend's optional bulk insert: n users, produced one at a
+// time by gen, stored under one lock acquisition.
+type bulkStorer interface {
+	storeN(n int, gen func(i int) (key string, u User))
+}
+
 // MemoryBackend is the default driver: a mutex-guarded map. It is the only
 // backend the zero-allocation lookup fast path applies to — DB probes its
 // map directly from a stack key buffer, skipping the interface call (which
@@ -56,6 +62,20 @@ func (m *MemoryBackend) Store(key string, u User) {
 	m.mu.Unlock()
 }
 
+// storeN implements bulkStorer. An empty table is sized for the batch, so
+// filling it never rehashes.
+func (m *MemoryBackend) storeN(n int, gen func(i int) (string, User)) {
+	m.mu.Lock()
+	if len(m.users) == 0 {
+		m.users = make(map[string]User, n)
+	}
+	for i := 0; i < n; i++ {
+		key, u := gen(i)
+		m.users[key] = u
+	}
+	m.mu.Unlock()
+}
+
 // Len implements Backend.
 func (m *MemoryBackend) Len() int {
 	m.mu.RLock()
@@ -91,6 +111,8 @@ func (s *SQLBackend) Fetch(key string) (User, bool) {
 // Store implements Backend. Provisioning is experiment setup, not the
 // serving path, so it pays no latency.
 func (s *SQLBackend) Store(key string, u User) { s.mem.Store(key, u) }
+
+func (s *SQLBackend) storeN(n int, gen func(i int) (string, User)) { s.mem.storeN(n, gen) }
 
 // Len implements Backend.
 func (s *SQLBackend) Len() int { return s.mem.Len() }

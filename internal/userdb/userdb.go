@@ -11,6 +11,7 @@ package userdb
 
 import (
 	"errors"
+	"strconv"
 	"time"
 
 	"gosip/internal/metrics"
@@ -96,32 +97,39 @@ func (db *DB) Provision(u User) {
 }
 
 // ProvisionN bulk-creates n users "user<i>@domain", as the benchmark
-// manager does before an experiment.
+// manager does before an experiment. It sits on every server's start-up
+// path, so each user costs one string — "secret-user<i>@domain", of which
+// the password, the username and the storage key are views — and an
+// in-memory backend is sized and locked once for the whole batch.
 func (db *DB) ProvisionN(n int, domain string) {
-	for i := 0; i < n; i++ {
-		name := userName(i)
-		db.backend.Store(name+"@"+domain, User{Username: name, Domain: domain, Password: PasswordFor(name)})
+	gen := func(i int) (string, User) {
+		var b [64]byte
+		buf := strconv.AppendInt(append(b[:0], passwordPrefix+userPrefix...), int64(i), 10)
+		nameLen := len(buf) - len(passwordPrefix)
+		all := string(append(append(buf, '@'), domain...))
+		key := all[len(passwordPrefix):]
+		return key, User{Username: key[:nameLen], Domain: domain, Password: all[:len(passwordPrefix)+nameLen]}
+	}
+	if bulk, ok := db.backend.(bulkStorer); ok {
+		bulk.storeN(n, gen)
+	} else {
+		for i := 0; i < n; i++ {
+			db.backend.Store(gen(i))
+		}
 	}
 	if db.cache != nil {
 		db.cache.flush()
 	}
 }
 
+// What ProvisionN, UserName and PasswordFor agree on.
+const (
+	userPrefix     = "user"
+	passwordPrefix = "secret-"
+)
+
 // userName formats the canonical benchmark username for index i.
-func userName(i int) string {
-	const digits = "0123456789"
-	if i == 0 {
-		return "user0"
-	}
-	var buf [24]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = digits[i%10]
-		i /= 10
-	}
-	return "user" + string(buf[pos:])
-}
+func userName(i int) string { return userPrefix + strconv.Itoa(i) }
 
 // UserName exposes the canonical benchmark username for index i.
 func UserName(i int) string { return userName(i) }
@@ -129,7 +137,7 @@ func UserName(i int) string { return userName(i) }
 // PasswordFor is the deterministic password assigned to a provisioned
 // benchmark user, shared knowledge between the server and the simulated
 // phones (as a real deployment's SIM credentials would be).
-func PasswordFor(username string) string { return "secret-" + username }
+func PasswordFor(username string) string { return passwordPrefix + username }
 
 // Lookup fetches a user. A credential-cache hit returns immediately —
 // skipping the pool slot and the simulated round-trip entirely. A miss

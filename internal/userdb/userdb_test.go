@@ -42,6 +42,43 @@ func TestProvisionN(t *testing.T) {
 	}
 }
 
+// plainBackend is a Backend without the bulk path.
+type plainBackend struct{ users map[string]User }
+
+func (p *plainBackend) Fetch(key string) (User, bool) { u, ok := p.users[key]; return u, ok }
+func (p *plainBackend) Store(key string, u User)      { p.users[key] = u }
+func (p *plainBackend) Len() int                      { return len(p.users) }
+
+// TestProvisionNStoresWhatProvisionDoes holds the bulk path to the contents
+// n single Provision calls leave behind, on a backend with the bulk insert,
+// on one without it, and on top of users already present.
+func TestProvisionNStoresWhatProvisionDoes(t *testing.T) {
+	const n, domain = 1200, "bench.local"
+	want := New(Config{}, metrics.NewProfile())
+	want.Provision(User{Username: "alice", Domain: domain, Password: "pw"})
+	for i := 0; i < n; i++ {
+		want.Provision(User{Username: UserName(i), Domain: domain, Password: PasswordFor(UserName(i))})
+	}
+	for name, be := range map[string]Backend{"memory": NewMemoryBackend(), "sql": NewSQLBackend(0), "plain": &plainBackend{users: map[string]User{}}} {
+		db := New(Config{Backend: be}, metrics.NewProfile())
+		db.Provision(User{Username: "alice", Domain: domain, Password: "pw"})
+		db.ProvisionN(n, domain)
+		if db.Len() != want.Len() {
+			t.Errorf("%s: Len = %d, want %d", name, db.Len(), want.Len())
+		}
+		for _, user := range []string{"alice", UserName(0), UserName(9), UserName(10), UserName(n - 1)} {
+			got, err := db.Lookup(user, domain)
+			exp, _ := want.Lookup(user, domain)
+			if err != nil || got != exp {
+				t.Errorf("%s: Lookup(%s) = %+v, %v; want %+v", name, user, got, err, exp)
+			}
+		}
+		if _, err := db.Lookup(UserName(n), domain); err == nil {
+			t.Errorf("%s: user %d exists", name, n)
+		}
+	}
+}
+
 func TestLookupLatencyApplied(t *testing.T) {
 	prof := metrics.NewProfile()
 	db := New(Config{LookupLatency: 10 * time.Millisecond}, prof)
