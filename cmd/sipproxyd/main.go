@@ -75,7 +75,7 @@ func main() {
 		grace        = flag.Duration("grace", 5*time.Second, "supervisor grace before destroying returned connections")
 		checkEvery   = flag.Duration("idle-check", 500*time.Millisecond, "idle check floor interval")
 		penalty      = flag.Duration("supervisor-penalty", 0, "per-request supervisor delay (models §4.3 starvation)")
-		ipcTimeout   = flag.Duration("ipc-timeout", 0, "worker fd-request deadline against a stalled supervisor (0 = 2s, negative = none)")
+		ipcTimeout   = flag.Duration("ipc-timeout", 0, "worker deadline for an fd request against a stalled supervisor, and with -ipc unix for a send to a peer that stopped reading (0 = 2s, negative = none)")
 		olPolicy     = flag.String("overload", "none", "overload admission policy: none, threshold, occupancy")
 		olPending    = flag.Int("overload-max-pending", 0, "threshold policy: in-flight transaction budget (0 = 4x workers)")
 		olQueue      = flag.Int("overload-max-queue", 0, "per-worker queued-event budget (0 = 64)")

@@ -73,9 +73,10 @@ type TCPConn struct {
 
 	// sendMu serializes message sends across all handles to this
 	// connection — OpenSER's user-level lock for atomic sends on shared
-	// connections. (Each message is written with a single write call, but
-	// the lock also covers the chan-IPC mode where handles share one
-	// socket object.)
+	// connections. (Each message is normally one write call, but the lock
+	// also covers the chan-IPC mode where handles share one socket object,
+	// and a message on a passed descriptor that a full socket buffer split
+	// into several writes.)
 	sendMu sync.Mutex
 }
 

@@ -113,8 +113,9 @@ type Config struct {
 	// absent. Zero = boosted supervisor (the paper's tuned configuration).
 	SupervisorPenalty time.Duration
 	// IPCTimeout bounds a worker's blocking fd request against a stalled
-	// supervisor; on expiry the affected request is answered 503 instead of
-	// hanging the worker (0 = 2s, negative = no deadline).
+	// supervisor and, in unix IPC mode, a send on a passed descriptor whose
+	// peer stopped reading; on expiry the affected request is answered 503
+	// instead of hanging the worker (0 = 2s, negative = no deadline).
 	IPCTimeout time.Duration
 
 	// --- batched I/O knobs ---

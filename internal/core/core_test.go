@@ -9,6 +9,7 @@ import (
 	"gosip/internal/loadgen"
 	"gosip/internal/metrics"
 	"gosip/internal/phone"
+	"gosip/internal/testutil"
 	"gosip/internal/transport"
 )
 
@@ -99,8 +100,19 @@ func TestTCPUnixIPCEndToEnd(t *testing.T) {
 	})
 	res := runLoad(t, srv, transport.TCP, 8, 5, 0)
 	assertClean(t, res, 40)
-	if got := srv.Profile().Counter(metrics.MetricIPCCount).Value(); got == 0 {
-		t.Error("unix-IPC TCP performed no fd requests")
+	// The round trip the paper blames is made for every non-owner send, and
+	// nothing is left of it afterwards: one supervisor answer per request,
+	// one descriptor per answer, one close per descriptor.
+	srv.Close()
+	prof := srv.Profile()
+	requests := prof.Counter(metrics.MetricIPCCount).Value()
+	if requests == 0 {
+		t.Fatal("unix-IPC TCP performed no fd requests")
+	}
+	answered := prof.Snapshot().Histograms[metrics.StageSupervisor].Count
+	issued, closed := testutil.HandleLedger(prof)
+	if answered != requests || issued != requests || closed != requests {
+		t.Errorf("%d fd requests: %d answered, %d handles issued, %d closed", requests, answered, issued, closed)
 	}
 }
 

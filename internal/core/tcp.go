@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -507,11 +508,18 @@ func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 		tFd := time.Now()
 		if h := w.cache.Get(c.ID()); h != nil {
 			trace.Of(m).Span(trace.StageFDCache, tFd)
-			if err := h.Send(m); err == nil {
+			err := h.Send(m)
+			if err == nil {
 				c.Touch(time.Now(), w.srv.sub.cfg.IdleTimeout)
 				return nil
 			}
 			w.cache.Invalidate(c.ID())
+			var stalled *ipc.TimeoutError
+			if errors.As(err, &stalled) {
+				// The peer stopped reading and the socket has been shut down:
+				// a fresh descriptor for it would only fail again.
+				return err
+			}
 		}
 	}
 	tIPC := time.Now()

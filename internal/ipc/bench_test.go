@@ -3,6 +3,8 @@ package ipc
 import (
 	"runtime"
 	"testing"
+
+	"gosip/internal/testutil"
 )
 
 // benchRoundTrip measures the cost of one fd request round-trip through
@@ -14,6 +16,10 @@ func benchRoundTrip(b *testing.B, mode Mode) {
 	t := &testing.T{}
 	env := newTestEnv(t, mode, 1)
 	defer env.stop()
+	fdsBefore := 0
+	if mode == ModeUnix {
+		fdsBefore = testutil.OpenFDs(b)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -22,6 +28,12 @@ func benchRoundTrip(b *testing.B, mode Mode) {
 			b.Fatal(err)
 		}
 		h.Close()
+	}
+	b.StopTimer()
+	if mode == ModeUnix {
+		// Raw descriptors have nothing behind them to close a leaked one:
+		// this must print 0.
+		b.ReportMetric(float64(testutil.OpenFDs(b)-fdsBefore), "fds-leaked")
 	}
 }
 

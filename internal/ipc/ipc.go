@@ -8,8 +8,12 @@
 // Two interchangeable fabrics are provided:
 //
 //   - ModeUnix: a real AF_UNIX socketpair per worker with SCM_RIGHTS file
-//     descriptor passing — the exact mechanism OpenSER uses, paying genuine
-//     kernel costs (three fd duplications and closes per request).
+//     descriptor passing — the exact mechanism OpenSER uses, at OpenSER's
+//     price: per request one sendmsg carrying the connection's own
+//     descriptor, one recvmsg that installs the duplicate in the worker,
+//     one write and one close on that duplicate. Nothing wraps the received
+//     descriptor (no os.File, no net.Conn, no poller registration) and the
+//     supervisor never dups or touches the mode of the socket it passes.
 //   - ModeChan: a channel-based round-trip with identical blocking
 //     semantics, used on non-Linux platforms, in unit tests, and as an
 //     ablation that separates supervisor-serialization cost from syscall
@@ -46,18 +50,24 @@ var (
 	ErrShutdown = errors.New("ipc: fabric shut down")
 )
 
-// TimeoutError reports that a worker abandoned an fd request because the
-// supervisor did not answer within the fabric's per-request deadline. A
-// stalled or saturated supervisor previously blocked the worker goroutine
-// forever; with the deadline the worker gets this typed error and the proxy
-// answers the affected request with 503 instead of hanging.
+// TimeoutError reports that a worker gave up on the fabric's per-request
+// deadline: either the supervisor did not answer an fd request in time, or
+// (Write set) the peer behind a passed descriptor stopped reading and a send
+// could not be finished. Both used to block the worker goroutine forever;
+// with the deadline the worker gets this typed error and the proxy answers
+// the affected request with 503 instead of hanging.
 type TimeoutError struct {
 	Worker   int
 	Deadline time.Duration
+	Write    bool // the deadline lapsed finishing a write, not waiting for the supervisor
 }
 
 func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("ipc: worker %d fd request timed out after %v", e.Worker, e.Deadline)
+	op := "fd request"
+	if e.Write {
+		op = "write on a passed fd"
+	}
+	return fmt.Sprintf("ipc: worker %d %s timed out after %v", e.Worker, op, e.Deadline)
 }
 
 // Timeout marks the error as a timeout (the net.Error convention), so
@@ -66,17 +76,21 @@ func (e *TimeoutError) Timeout() bool { return true }
 
 // Handle is a worker's process-local descriptor for a connection: the
 // analogue of the fd a worker receives from the supervisor. In unix mode it
-// wraps a genuinely duplicated socket that must be closed after use; in
-// chan mode it references the shared socket object.
+// is that fd — the raw descriptor recvmsg installed, written with write(2)
+// and closed with close(2), nothing wrapped around it; in chan mode, and for
+// a worker's own connections (DirectHandle), it references the shared socket
+// object. A handle belongs to one worker goroutine.
 type Handle struct {
-	Conn   *conn.TCPConn
-	writer rawWriter
-	closer func() error
-}
+	Conn *conn.TCPConn
 
-// rawWriter sends one serialized SIP message with a single write call.
-type rawWriter interface {
-	WriteRaw([]byte) error
+	// stream is the shared socket object; nil when fd carries the sends.
+	stream *transport.StreamConn
+	// fabric is set on handles a supervisor granted: Close counts them in
+	// its issued/closed ledger and, in unix mode, closes fd.
+	fabric *Fabric
+	worker int
+	fd     int
+	closed bool
 }
 
 // Send serializes m and writes it atomically under the connection's shared
@@ -87,9 +101,11 @@ func (h *Handle) Send(m *sipmsg.Message) error {
 	return h.SendRaw(wire.Bytes)
 }
 
-// SendRaw writes pre-serialized bytes under the connection's send lock.
+// SendRaw writes pre-serialized bytes under the connection's send lock. On
+// a closed handle it fails with conn.ErrClosed: the descriptor number may
+// already name something else.
 //
-// When the handle's writer is the shared StreamConn with group-commit
+// When the handle writes through the shared StreamConn with group-commit
 // coalescing armed, the outer send lock is skipped: WriteRaw is then
 // itself atomic, and taking sendMu first would serialize every writer
 // before it could reach the coalescing path — the reason -tcp-coalesce
@@ -98,29 +114,40 @@ func (h *Handle) Send(m *sipmsg.Message) error {
 // lifecycle check SendLocked performs is preserved as a racy fast-fail;
 // the race is benign because closing the socket makes the write itself
 // return an error, the same outcome SendLocked's check produces. Unix-mode
-// handles wrap a private duplicated descriptor, not the shared StreamConn,
-// so they keep the locked path (their writes must still be serialized
-// per-message against other holders of duplicated fds).
+// handles hold a private descriptor, not the shared StreamConn, so they
+// keep the locked path: the lock is what keeps a message whole against
+// other holders of descriptors for the same socket, including across the
+// EAGAIN slow path of writeFD.
 func (h *Handle) SendRaw(data []byte) error {
-	if sc, ok := h.writer.(*transport.StreamConn); ok && sc.CoalesceActive() {
+	if h.closed {
+		return conn.ErrClosed
+	}
+	if h.stream == nil {
+		return h.Conn.SendLocked(func() error { return h.fabric.writeFD(h, data) })
+	}
+	if h.stream.CoalesceActive() {
 		if h.Conn.State() == conn.StateClosed {
 			return conn.ErrClosed
 		}
-		return sc.WriteRaw(data)
+		return h.stream.WriteRaw(data)
 	}
-	return h.Conn.SendLocked(func() error { return h.writer.WriteRaw(data) })
+	return h.Conn.SendLocked(func() error { return h.stream.WriteRaw(data) })
 }
 
-// Close releases the worker's descriptor. In unix mode this closes the
-// duplicated fd — the behaviour whose cost the fd cache (Figure 4)
-// eliminates by keeping handles open. Close is idempotent.
+// Close releases the worker's descriptor. In unix mode this is the one
+// close(2) of the passed fd — the behaviour whose cost the fd cache
+// (Figure 4) eliminates by keeping handles open. Close is exactly-once: a
+// second call must not close a number the kernel has since reused.
 func (h *Handle) Close() error {
-	if h.closer == nil {
+	if h.fabric == nil || h.closed {
 		return nil
 	}
-	c := h.closer
-	h.closer = nil
-	return c()
+	h.closed = true
+	h.fabric.handlesClosed.Inc()
+	if h.stream != nil {
+		return nil
+	}
+	return closeFD(h.fd)
 }
 
 // Valid reports whether the handle still refers to a live connection. The
@@ -135,12 +162,7 @@ type Request struct {
 	ConnID conn.ID
 	Worker int
 
-	reply chan reply // chan mode
-}
-
-type reply struct {
-	handle *Handle
-	err    error
+	reply chan error // chan mode: the supervisor's verdict (nil = granted)
 }
 
 // Fabric carries fd requests from workers to the supervisor and handles
@@ -161,6 +183,8 @@ type Fabric struct {
 	timeouts      *metrics.Counter
 	handlesIssued *metrics.Counter
 	handlesClosed *metrics.Counter
+	writeWaits    *metrics.Counter
+	writeTimeouts *metrics.Counter
 }
 
 // workerPort is one worker's endpoint. Only unix mode populates the socket
@@ -175,10 +199,11 @@ type workerPort struct {
 }
 
 // NewFabric creates a fabric for nWorkers workers. timeout bounds each
-// worker's blocking fd request (<=0 disables the deadline and restores
-// block-forever semantics). Unix mode requires a platform with AF_UNIX fd
-// passing (see fdpass_linux.go); constructing it elsewhere returns an
-// error.
+// worker's blocking fd request and, in unix mode, each send that has to
+// wait for a full socket buffer to drain (<=0 disables the deadline and
+// restores block-forever semantics). Unix mode requires a platform with
+// AF_UNIX fd passing (see fdpass_linux.go); constructing it elsewhere
+// returns an error.
 func NewFabric(mode Mode, nWorkers int, timeout time.Duration, profile *metrics.Profile) (*Fabric, error) {
 	f := &Fabric{
 		mode:    mode,
@@ -197,6 +222,8 @@ func NewFabric(mode Mode, nWorkers int, timeout time.Duration, profile *metrics.
 		timeouts:      profile.Counter(metrics.MetricIPCTimeouts),
 		handlesIssued: profile.Counter(metrics.MetricIPCHandlesIssued),
 		handlesClosed: profile.Counter(metrics.MetricIPCHandlesClosed),
+		writeWaits:    profile.Counter(metrics.MetricIPCWriteWaits),
+		writeTimeouts: profile.Counter(metrics.MetricIPCWriteTimeouts),
 	}
 	for i := range f.workers {
 		f.workers[i] = &workerPort{}
@@ -225,7 +252,9 @@ func (f *Fabric) Requests() <-chan Request { return f.requests }
 // per-request deadline, after which the worker gets a *TimeoutError
 // instead of hanging behind a stalled supervisor. The blocked time is
 // accounted to the IPC timer — the quantity the paper profiles at ~12% of
-// busy time in the baseline.
+// busy time in the baseline. Every handle it returns is counted as issued;
+// handles_issued minus handles_closed is the live-handle balance that must
+// read zero after shutdown (the fd-leak metric).
 func (f *Fabric) RequestFD(workerID int, c *conn.TCPConn) (*Handle, error) {
 	start := time.Now()
 	defer func() {
@@ -235,97 +264,119 @@ func (f *Fabric) RequestFD(workerID int, c *conn.TCPConn) (*Handle, error) {
 	}()
 	f.ipcCount.Inc()
 
-	var deadline time.Time
+	h := Handle{Conn: c, fabric: f, worker: workerID}
+	req := Request{ConnID: c.ID(), Worker: workerID}
+	var err error
+	if f.mode == ModeChan {
+		h.stream = c.Stream()
+		err = f.requestChan(req)
+	} else {
+		h.fd, err = f.requestUnix(req, start)
+	}
+	if err != nil {
+		return nil, err
+	}
+	f.handlesIssued.Inc()
+	return &h, nil
+}
+
+// enqueue hands req to the supervisor, giving up at shutdown or when
+// timeoutC fires: the supervisor's queue stayed saturated for the whole
+// deadline and nothing will ever answer this request.
+func (f *Fabric) enqueue(req Request, timeoutC <-chan time.Time) error {
+	select {
+	case f.requests <- req:
+		return nil
+	case <-f.done:
+		return ErrShutdown
+	case <-timeoutC:
+		return f.timedOut(req)
+	}
+}
+
+func (f *Fabric) timedOut(req Request) error {
+	f.timeouts.Inc()
+	return &TimeoutError{Worker: req.Worker, Deadline: f.timeout}
+}
+
+// requestChan is the channel round trip: the supervisor's verdict comes
+// back on a per-request channel. An abandoned request's eventual reply
+// lands in that buffered channel and is garbage collected; chan-mode
+// handles reference the shared socket object, so no descriptor is at stake.
+func (f *Fabric) requestChan(req Request) error {
+	req.reply = make(chan error, 1)
 	var timeoutC <-chan time.Time
 	if f.timeout > 0 {
-		deadline = start.Add(f.timeout)
 		timer := time.NewTimer(f.timeout)
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
-
-	req := Request{ConnID: c.ID(), Worker: workerID}
-	if f.mode == ModeChan {
-		req.reply = make(chan reply, 1)
+	if err := f.enqueue(req, timeoutC); err != nil {
+		return err
 	}
 	select {
-	case f.requests <- req:
+	case err := <-req.reply:
+		return err
 	case <-f.done:
-		return nil, ErrShutdown
+		return ErrShutdown
 	case <-timeoutC:
-		// Never enqueued: the supervisor's queue stayed saturated for the
-		// whole deadline. Nothing will ever answer this request.
-		f.timeouts.Inc()
-		return nil, &TimeoutError{Worker: workerID, Deadline: f.timeout}
+		return f.timedOut(req)
 	}
+}
 
-	if f.mode == ModeChan {
-		select {
-		case r := <-req.reply:
-			if r.err != nil {
-				return nil, r.err
-			}
-			return f.issue(r.handle), nil
-		case <-f.done:
-			return nil, ErrShutdown
-		case <-timeoutC:
-			// Enqueued but unanswered. The supervisor's eventual reply lands
-			// in the buffered per-request channel and is garbage collected;
-			// chan-mode handles wrap the shared socket object, so no
-			// descriptor is at stake.
-			f.timeouts.Inc()
-			return nil, &TimeoutError{Worker: workerID, Deadline: f.timeout}
+// requestUnix is the socketpair round trip. The supervisor's queue holds a
+// slot per worker, so the enqueue all but always succeeds at once and the
+// deadline rides on the socketpair's read deadline alone; a timer is armed
+// only when the queue is found saturated.
+//
+// Responses arrive in request order, so after a timeout the abandoned
+// request's response is still owed on the pair: it is counted in port.stale
+// and drained — its descriptor closed — before a later request's reply is
+// accepted. A malformed response is drained the same way (recvFD has
+// already closed whatever it carried).
+func (f *Fabric) requestUnix(req Request, start time.Time) (int, error) {
+	select {
+	case f.requests <- req:
+	default:
+		var timeoutC <-chan time.Time
+		if f.timeout > 0 {
+			timer := time.NewTimer(f.timeout)
+			defer timer.Stop()
+			timeoutC = timer.C
+		}
+		if err := f.enqueue(req, timeoutC); err != nil {
+			return -1, err
 		}
 	}
-
-	// Unix mode: block reading our socketpair for the fd, bounded by the
-	// deadline. Responses arrive in request order, so after a timeout the
-	// abandoned request's response is still owed on the pair: it is counted
-	// in port.stale and drained — its duplicated descriptor closed — before
-	// a later request's reply is accepted.
-	port := f.workers[workerID]
+	var deadline time.Time
+	if f.timeout > 0 {
+		deadline = start.Add(f.timeout)
+	}
+	port := f.workers[req.Worker]
 	for {
-		h, err := port.unix.recvHandle(deadline)
+		fd, err := port.unix.recvFD(deadline)
 		if err != nil {
 			if isTimeoutErr(err) {
 				port.stale++
-				f.timeouts.Inc()
-				return nil, &TimeoutError{Worker: workerID, Deadline: f.timeout}
+				return -1, f.timedOut(req)
 			}
-			if errors.Is(err, ErrConnGone) {
-				if port.stale > 0 {
-					port.stale-- // a stale request's conn-gone answer
-					continue
-				}
-				return nil, err
+			if !errors.Is(err, ErrConnGone) && !errors.Is(err, errBadResponse) {
+				return -1, err // the socketpair itself failed: no response was consumed
 			}
-			return nil, err
 		}
-		if port.stale > 0 {
-			port.stale--
-			_ = h.Close() // stale response: close the duplicated fd, keep waiting
-			continue
+		if port.stale == 0 {
+			return fd, err
 		}
-		h.Conn = c
-		return f.issue(h), nil
+		port.stale-- // a late answer to an abandoned request: nobody is waiting for it
+		if err == nil {
+			_ = closeFD(fd)
+		}
 	}
 }
 
-// issue wraps a handle granted by the supervisor so its eventual Close is
-// counted: handles_issued minus handles_closed is the live-handle balance
-// that must read zero after shutdown (the fd-leak metric).
-func (f *Fabric) issue(h *Handle) *Handle {
-	f.handlesIssued.Inc()
-	orig := h.closer
-	h.closer = func() error {
-		f.handlesClosed.Inc()
-		if orig != nil {
-			return orig()
-		}
-		return nil
-	}
-	return h
-}
+// errBadResponse marks a supervisor response that was read off the
+// socketpair but rejected; every descriptor it carried has been closed.
+var errBadResponse = errors.New("ipc: malformed fd response")
 
 func isTimeoutErr(err error) bool {
 	var ne net.Error
@@ -333,9 +384,10 @@ func isTimeoutErr(err error) bool {
 }
 
 // Respond is the supervisor side: it answers req with the connection's
-// socket (duplicating the fd in unix mode) or with err. It must be called
-// exactly once per request received from Requests(). Time spent here is
-// accounted as supervisor work.
+// socket (passing its descriptor in unix mode) or with err. It must be
+// called exactly once per request received from Requests(), and — the
+// supervisor being one loop — never concurrently for the same worker. Time
+// spent here is accounted as supervisor work.
 func (f *Fabric) Respond(req Request, c *conn.TCPConn, err error) {
 	start := time.Now()
 	defer func() {
@@ -345,11 +397,7 @@ func (f *Fabric) Respond(req Request, c *conn.TCPConn, err error) {
 	}()
 
 	if f.mode == ModeChan {
-		if err != nil {
-			req.reply <- reply{err: err}
-			return
-		}
-		req.reply <- reply{handle: &Handle{Conn: c, writer: c.Stream()}}
+		req.reply <- err
 		return
 	}
 	port := f.workers[req.Worker].unix
@@ -384,5 +432,5 @@ func (f *Fabric) Close() {
 // replies straight to its connection. Also used by the shared-address-space
 // (Section 6) architecture where every worker can reach every socket.
 func DirectHandle(c *conn.TCPConn) *Handle {
-	return &Handle{Conn: c, writer: c.Stream()}
+	return &Handle{Conn: c, stream: c.Stream()}
 }

@@ -66,31 +66,20 @@ func newTestEnv(t *testing.T, mode Mode, workers int) *testEnv {
 }
 
 // testLoopback dials a loopback TCP connection, inserts the server side
-// into a fresh table (so unix mode can duplicate a real socket fd), and
-// returns the client end for reading what workers send.
+// into a fresh table (so unix mode can pass a real socket fd), and returns
+// the client end for reading what workers send.
 func testLoopback(t *testing.T, prof *metrics.Profile) (*conn.Table, *conn.TCPConn, *transport.StreamConn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cli, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvSide := <-accepted
-	ln.Close()
-
 	table := conn.NewTable(prof)
-	tcpConn := table.Insert(transport.NewStreamConn(srvSide), time.Minute)
-	return table, tcpConn, transport.NewStreamConn(cli)
+	tcpConn, peer := dialLoopback(t, table)
+	return table, tcpConn, peer
+}
+
+// dialLoopback adds one more loopback connection to table.
+func dialLoopback(t *testing.T, table *conn.Table) (*conn.TCPConn, *transport.StreamConn) {
+	t.Helper()
+	srvSide, cli := testutil.LoopbackPair(t)
+	return table.Insert(transport.NewStreamConn(srvSide), time.Minute), transport.NewStreamConn(cli)
 }
 
 func testMsg(i int) *sipmsg.Message {
@@ -231,7 +220,7 @@ func TestUnixModeHandlesAreIndependentFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Closing one duplicated descriptor must not affect the other.
+	// Closing one passed descriptor must not affect the other.
 	if err := h1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +397,8 @@ func TestRequestFDTimeoutOnStalledSupervisor(t *testing.T) {
 
 // Unix-mode responses arrive in request order, so the response to an
 // abandoned (timed-out) request eventually lands in the socketpair. The
-// next request must drain it — closing the stale duplicated fd — and
-// return the response to its own request, not the stale one.
+// next request must drain it — closing the stale passed fd — and return
+// the response to its own request, not the stale one.
 func TestUnixStaleResponseDrained(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("unix fd passing is linux-only")
@@ -423,6 +412,7 @@ func TestUnixStaleResponseDrained(t *testing.T) {
 	table, c, peer := testLoopback(t, prof)
 	defer peer.Close()
 	defer table.Remove(c)
+	fdsBefore := testutil.OpenFDs(t)
 
 	// First request: the supervisor answers only after the worker gave up.
 	if _, err := fabric.RequestFD(0, c); !errors.As(err, new(*TimeoutError)) {
@@ -465,6 +455,7 @@ func TestUnixStaleResponseDrained(t *testing.T) {
 	if issued, closed := testutil.HandleLedger(prof); issued != 1 || closed != 1 {
 		t.Errorf("handle ledger issued=%d closed=%d, want 1/1", issued, closed)
 	}
+	testutil.CheckFDs(t, fdsBefore)
 }
 
 // Every issued handle that is closed must balance the ledger, and a double

@@ -329,6 +329,11 @@ const (
 	MetricIPCTimeouts      = "ipc.fd_timeouts"
 	MetricIPCHandlesIssued = "ipc.handles_issued"
 	MetricIPCHandlesClosed = "ipc.handles_closed"
+	// Sends on a passed descriptor that found the socket buffer full and
+	// had to wait for the peer to read, and those abandoned (503, socket
+	// shut down) because it did not within the fd-request deadline.
+	MetricIPCWriteWaits    = "ipc.write_waits"
+	MetricIPCWriteTimeouts = "ipc.write_timeouts"
 
 	// Batched-I/O counters (internal/transport). Syscall counts divide into
 	// message counts to give the syscalls-per-message amortization the
@@ -493,6 +498,7 @@ var standardCounters = []string{
 	MetricOverloadOffered, MetricOverloadAdmitted, MetricOverloadRejected,
 	MetricOverloadPauses, MetricIPCTimeouts,
 	MetricIPCHandlesIssued, MetricIPCHandlesClosed,
+	MetricIPCWriteWaits, MetricIPCWriteTimeouts,
 	MetricUDPRecvSyscalls, MetricUDPRecvMsgs,
 	MetricUDPSendSyscalls, MetricUDPSendMsgs, MetricUDPPoolDropped,
 	MetricTCPWriteCalls, MetricTCPWriteMsgs,

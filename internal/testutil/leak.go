@@ -3,7 +3,8 @@
 // that previously lived as copies in the overload experiment, the fd-cache
 // tests, and the IPC tests. Both are post-conditions on a closed server —
 // everything it started must be gone, and every supervisor-issued fd
-// handle must have been closed.
+// handle must have been closed. fd.go counts the process's descriptors
+// themselves, for the raw ones the ledger can only vouch for.
 package testutil
 
 import (
