@@ -78,10 +78,9 @@ func main() {
 		ipcTimeout   = flag.Duration("ipc-timeout", 0, "worker deadline for an fd request against a stalled supervisor, and with -ipc unix for a send to a peer that stopped reading (0 = 2s, negative = none)")
 		olPolicy     = flag.String("overload", "none", "overload admission policy: none, threshold, occupancy")
 		olPending    = flag.Int("overload-max-pending", 0, "threshold policy: in-flight transaction budget (0 = 4x workers)")
-		olQueue      = flag.Int("overload-max-queue", 0, "per-worker queued-event budget (0 = 64)")
+		olQueue      = flag.Int("overload-max-queue", 0, "threshold policy: per-worker budget of messages waiting for or in process on the receiving worker (0 = 64)")
 		olTarget     = flag.Float64("overload-target", 0, "occupancy policy: target worker busy fraction (0 = 0.85)")
 		retryAfter   = flag.Duration("retry-after", 0, "base Retry-After advertised on 503 rejections (0 = 1s)")
-		olPause      = flag.Bool("overload-pause-reads", false, "pause TCP connection reads at the queue budget (kernel backpressure)")
 		udpBatch     = flag.Int("udp-batch", 0, "datagrams per recvmmsg/sendmmsg call (0/1 = unbatched baseline)")
 		udpShard     = flag.Int("udp-shard", 0, "SO_REUSEPORT UDP sockets to shard across (0/1 = one shared socket)")
 		udpLinger    = flag.Duration("udp-linger", 0, "egress batch flush deadline (0 = default; needs -udp-batch > 1)")
@@ -186,7 +185,6 @@ func main() {
 			MaxQueue:        *olQueue,
 			TargetOccupancy: *olTarget,
 			RetryAfter:      *retryAfter,
-			PauseReads:      *olPause,
 		},
 	}
 	cfg.Txn.Shards = *txnShards

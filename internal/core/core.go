@@ -11,13 +11,17 @@
 //     everything else. The Figure 4 fd cache and the Figure 5 priority
 //     queue are configuration switches.
 //   - ThreadedServer (§6): the multi-threaded, shared-address-space
-//     architecture the paper advocates — same worker event loops, but any
-//     worker may write any connection directly, with no supervisor IPC.
+//     architecture the paper advocates — same workers, but any worker may
+//     write any connection directly, with no supervisor IPC.
 //
-// Worker goroutines follow an enforced process discipline: each worker is
-// one event loop; message processing for a connection happens only on its
-// owning worker; cross-connection sends go through handles obtained
-// according to the architecture's rules.
+// On both stream architectures the goroutine that reads a message runs it
+// to completion — parse, admission, Engine.Handle, send — before it reads
+// the next; nothing is handed to another goroutine on the way. The
+// ownership policy is the only difference: a tcp worker is a lock, so a
+// reader handles its message as the owning worker process, one message per
+// worker at a time, and cross-connection sends go through that worker's fd
+// cache and IPC port; threaded readers run side by side and write any
+// connection directly.
 package core
 
 import (
@@ -374,8 +378,8 @@ type substrate struct {
 	ctrl   *overload.Controller
 	rec    *trace.Recorder
 	// tls is non-nil when the server speaks TLS on its stream sockets. The
-	// whole stream plumbing (StreamConn framing, coalescing, backpressure,
-	// connmgr, fd cache) is unchanged — TLS is applied at the net.Conn seam
+	// whole stream plumbing (StreamConn framing, coalescing, connmgr, fd
+	// cache) is unchanged — TLS is applied at the net.Conn seam
 	// in wrapStream/dialStream, so steady-state cost converges to the TCP
 	// persistent path once handshakes are amortized.
 	tls *transport.TLSContext
@@ -499,7 +503,10 @@ func (s *substrate) observeParsed(m *sipmsg.Message, d time.Duration) {
 	}
 }
 
+// close runs after the architecture has joined every goroutine that can
+// receive a message, so no transaction can start once the table is emptied.
 func (s *substrate) close() {
+	s.txns.TerminateAll()
 	s.timers.Close()
 	s.loc.Close()
 	s.tls.Close()
@@ -723,9 +730,9 @@ func (s *substrate) parseOrCount(data []byte) (*sipmsg.Message, bool) {
 // retransmission of a request the server already admitted passes too (its
 // transaction absorbs it cheaply; rejecting it would kill a call the
 // server has already invested in). On rejection the 503 + Retry-After has
-// already been sent when admit returns false; queued is the receiving
-// worker's current event-queue depth (0 for UDP, which has no per-worker
-// queue).
+// already been sent when admit returns false; queued is how many other
+// messages of the receiving worker are waiting for it or in process (0 for
+// UDP, which has no per-worker queue).
 func (s *substrate) admit(send proxy.Sender, m *sipmsg.Message, origin any, queued int) bool {
 	if !s.ctrl.Active() {
 		return true

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net"
 	"strconv"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"gosip/internal/overload"
 	"gosip/internal/sipmsg"
 	"gosip/internal/transport"
+	"gosip/internal/userdb"
 )
 
 // rawUDPClient is a bare UDP endpoint for driving the server without the
@@ -163,88 +163,53 @@ func TestIPCTimeoutAnswers503(t *testing.T) {
 		t.Error("no calls failed; cross-worker forwards should 503")
 	}
 	// The whole point of the deadline: failures are fast. Without it each
-	// blocked worker would hang until the phones' response timeout while its
-	// entire event queue starved behind the stalled request.
+	// blocked worker would hang until the phones' response timeout while
+	// every reader waiting for its lock starved behind the stalled request.
 	if elapsed > 5*time.Second {
 		t.Errorf("run took %v; workers appear to have blocked past IPCTimeout", elapsed)
 	}
 }
 
-// TestTCPReadPauseBackpressure floods one connection with pipelined
-// REGISTERs against a one-event queue budget and asserts the reader pauses
-// (kernel flow control engages) instead of queuing without bound, while
-// every request still gets exactly one response.
-func TestTCPReadPauseBackpressure(t *testing.T) {
-	const burst = 100
+// TestTCPWorkerLockBackpressure sends pipelined REGISTERs on four
+// connections at once to a one-worker process-model server with a slow user
+// database. A reader holds its message, and stops reading its socket, while
+// it waits for the worker's lock; with a queue budget of one the threshold
+// policy sees those waiters and sheds with 503 + Retry-After, and each
+// connection still gets its answers in CSeq order.
+func TestTCPWorkerLockBackpressure(t *testing.T) {
+	const conns, burst = 4, 10
 	srv := startServer(t, Config{
 		Arch:    ArchTCP,
 		Workers: 1,
 		IPCMode: ipc.ModeChan,
 		ConnMgr: connmgr.KindScan,
+		DB:      userdb.Config{LookupLatency: 5 * time.Millisecond},
 		Overload: overload.Config{
 			Policy:     overload.PolicyThreshold,
-			MaxPending: 1 << 20, // pending never trips; queue depth governs
+			MaxPending: 1 << 20, // pending never trips; waiters govern
 			MaxQueue:   1,
-			PauseReads: true,
 		},
 	})
-	sc, err := transport.DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	la := sc.LocalAddr().(*net.TCPAddr)
-
-	var buf []byte
-	for i := 0; i < burst; i++ {
-		req := sipmsg.NewRequest(sipmsg.RequestSpec{
-			Method:     sipmsg.REGISTER,
-			RequestURI: sipmsg.URI{Host: testDomain},
-			From: sipmsg.NameAddr{
-				URI:    sipmsg.URI{User: "user0", Host: testDomain},
-				Params: map[string]string{"tag": "raw"},
-			},
-			To:      sipmsg.NameAddr{URI: sipmsg.URI{User: "user0", Host: testDomain}},
-			CallID:  fmt.Sprintf("pause-%d", i),
-			CSeq:    uint32(i + 1),
-			Via:     sipmsg.Via{Transport: "TCP", Host: la.IP.String(), Port: la.Port},
-			Contact: &sipmsg.NameAddr{URI: sipmsg.URI{User: "user0", Host: la.IP.String(), Port: la.Port}},
-			Expires: 60,
-		})
-		buf = req.AppendTo(buf)
-	}
-	// One write delivers the whole pipeline; the reader must repeatedly hit
-	// the queue budget while the worker drains one event at a time.
-	if err := sc.WriteRaw(buf); err != nil {
-		t.Fatal(err)
-	}
-
-	sc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	got200, got503 := 0, 0
-	for i := 0; i < burst; i++ {
-		m, err := sc.ReadMessage()
-		if err != nil {
-			t.Fatalf("response %d/%d: %v", i, burst, err)
-		}
-		switch m.StatusCode {
-		case sipmsg.StatusOK:
-			got200++
-		case sipmsg.StatusServiceUnavail:
-			got503++
-			if ra, ok := m.Get("Retry-After"); !ok || ra == "" {
-				t.Error("queue-budget 503 carries no Retry-After")
+	for _, st := range sendBursts(t, srv.Addr(), conns, burst) {
+		for _, code := range st {
+			switch code {
+			case sipmsg.StatusOK:
+				got200++
+			case sipmsg.StatusServiceUnavail:
+				got503++
+			default:
+				t.Errorf("unexpected status %d", code)
 			}
-		default:
-			t.Errorf("unexpected status %d", m.StatusCode)
 		}
 	}
 	if got200 == 0 {
 		t.Error("no REGISTER admitted; backpressure should shed load, not all of it")
 	}
-	if got := srv.Profile().Counter(metrics.MetricOverloadPauses).Value(); got == 0 {
-		t.Error("reader never paused despite queue budget 1 and a pipelined burst")
+	if got503 == 0 {
+		t.Error("no REGISTER shed with four connections waiting on one worker and a queue budget of 1")
 	}
-	if got := srv.Profile().Counter(metrics.MetricOverloadOffered).Value(); got != burst {
-		t.Errorf("offered = %d, want %d", got, burst)
+	if got := srv.Profile().Counter(metrics.MetricOverloadOffered).Value(); got != conns*burst {
+		t.Errorf("offered = %d, want %d", got, conns*burst)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gosip/internal/conn"
@@ -13,23 +13,16 @@ import (
 	"gosip/internal/fdcache"
 	"gosip/internal/ipc"
 	"gosip/internal/location"
-	"gosip/internal/metrics"
-	"gosip/internal/proxy"
 	"gosip/internal/sipmsg"
-	"gosip/internal/timerlist"
 	"gosip/internal/trace"
-	"gosip/internal/userdb"
 )
 
 // tcpServer is the §3.1 architecture: one supervisor goroutine owns
 // connection management (accept, assignment, fd service, idle close);
-// worker goroutines own reads on their assigned connections and must
-// obtain descriptors through the IPC fabric for every other connection.
+// workers own reads on their assigned connections and must obtain
+// descriptors through the IPC fabric for every other connection.
 type tcpServer struct {
-	sub    *substrate
-	ln     net.Listener
-	engine *proxy.Engine
-	table  *conn.Table
+	*streamBase
 	fabric *ipc.Fabric
 	supMgr connmgr.Manager
 
@@ -39,12 +32,8 @@ type tcpServer struct {
 	adopted chan *conn.TCPConn // worker-dialed conns → supervisor tracking
 	retired chan *conn.TCPConn // dead conns → supervisor destroy
 
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup // acceptor + supervisor + workers
-
 	// pending holds accepted connections waiting for a worker with mailbox
-	// room. Buffering here instead of blocking on a worker's queue is the
+	// room. Buffering here instead of blocking on a worker's mailbox is the
 	// §6 deadlock avoidance: the supervisor must never block sending to a
 	// worker that may itself be blocked waiting on the supervisor.
 	pending []*conn.TCPConn
@@ -57,79 +46,64 @@ type tcpServer struct {
 	rng *rand.Rand
 }
 
-// tcpWorker models one OpenSER worker process: a single event loop that
-// processes messages from its owned connections, returns idle ones, and
-// sends through its fd cache / the IPC fabric.
+// tcpWorker models one OpenSER worker process. The process is its lock: a
+// reader runs a message on its own goroutine while holding mu, so at most
+// one message per worker is in process and the fd cache and IPC port have
+// one holder at a time, as a process's private memory would. The worker's
+// goroutine only adopts connections from the supervisor's mailbox and runs
+// the periodic idle check.
 type tcpWorker struct {
 	id  int
 	srv *tcpServer
 
 	newConns chan *conn.TCPConn
-	events   chan workerEvent
 
-	owned    map[conn.ID]*conn.TCPConn
+	mu sync.Mutex
+	// waiting counts readers blocked on mu: the worker's queue, and the
+	// admission load signal.
+	waiting atomic.Int32
+
 	localMgr connmgr.Manager
 	cache    *fdcache.Cache // nil when the Figure 4 fix is disabled
 	sender   *tcpSender
 }
 
-type workerEvent struct {
-	c *conn.TCPConn
-	m *sipmsg.Message // nil: the reader terminated (EOF, reset, or return)
-}
-
 func newTCPServer(cfg Config) (Server, error) {
-	sub, err := newSubstrate(cfg)
+	base, err := newStreamBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := sub.listenStream(cfg.Addr)
-	if err != nil {
-		sub.close()
-		return nil, err
-	}
+	sub := base.sub
 	fabric, err := ipc.NewFabric(cfg.IPCMode, cfg.Workers, cfg.IPCTimeout, sub.prof)
 	if err != nil {
-		ln.Close()
+		base.ln.Close()
 		sub.close()
 		return nil, err
 	}
-	local := ln.Addr().(*net.TCPAddr)
-	engine := proxy.NewEngine(sub.engineConfig(sub.streamKind(), local.IP.String(), local.Port), sub.loc, sub.db, sub.txns, sub.prof)
-
-	table := conn.NewTable(sub.prof)
 	// The supervisor's baseline strategy scans the shared table under its
 	// global lock (the paper's §5.2 pathology); the pqueue fix replaces it.
 	var supMgr connmgr.Manager
 	if cfg.ConnMgr == connmgr.KindPQueue {
-		supMgr = connmgr.NewPQueue(sub.prof)
+		pq := connmgr.NewPQueue(sub.prof)
+		pq.ReinsertDelay = cfg.SupervisorGrace
+		supMgr = pq
 	} else {
-		supMgr = connmgr.NewTableScanner(table, sub.prof)
+		supMgr = connmgr.NewTableScanner(base.table, sub.prof)
 	}
 	srv := &tcpServer{
-		sub:     sub,
-		ln:      ln,
-		engine:  engine,
-		table:   table,
-		fabric:  fabric,
-		supMgr:  supMgr,
-		accepts: make(chan *conn.TCPConn, 64),
-		adopted: make(chan *conn.TCPConn, 64),
-		retired: make(chan *conn.TCPConn, 256),
-		closed:  make(chan struct{}),
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
+		streamBase: base,
+		fabric:     fabric,
+		supMgr:     supMgr,
+		accepts:    make(chan *conn.TCPConn, 64),
+		adopted:    make(chan *conn.TCPConn, 64),
+		retired:    make(chan *conn.TCPConn, 256),
+		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	if pq, ok := srv.supMgr.(*connmgr.PQueue); ok {
-		pq.ReinsertDelay = cfg.SupervisorGrace
-	}
-	sub.prof.SetGauge(metrics.GaugeOpenConns, func() float64 { return float64(table.Len()) })
 	for i := 0; i < cfg.Workers; i++ {
 		w := &tcpWorker{
 			id:       i,
 			srv:      srv,
 			newConns: make(chan *conn.TCPConn, 64),
-			events:   make(chan workerEvent, 256),
-			owned:    make(map[conn.ID]*conn.TCPConn),
 			localMgr: connmgr.New(cfg.ConnMgr, sub.prof),
 		}
 		if cfg.FDCache {
@@ -281,135 +255,68 @@ func (w *tcpWorker) run() {
 		select {
 		case c := <-w.newConns:
 			w.adopt(c)
-		case ev := <-w.events:
-			w.handleEvent(ev)
 		case <-ticker.C:
 			sweep = true
 		case <-w.srv.closed:
-			if w.cache != nil {
-				w.cache.Close()
-			}
 			return
 		}
-		// Like the supervisor, each worker checks its owned connections on
-		// every loop iteration ("even the worker processes examined every
-		// connection they owned"). The fd cache is swept only on the
-		// periodic tick — it is worker-private and cheap to keep.
+		w.mu.Lock()
 		w.idleCheck(time.Now(), sweep)
+		w.mu.Unlock()
 	}
 }
 
 // adopt takes ownership of a connection: only this worker will read it.
 func (w *tcpWorker) adopt(c *conn.TCPConn) {
 	c.SetOwner(w.id)
-	w.owned[c.ID()] = c
 	w.localMgr.Add(c)
-	go w.reader(c)
+	w.srv.startReader(w, c)
 }
 
-// reader is the per-connection read pump feeding the worker's single event
-// loop; message processing still happens serially on the worker, so the
-// one-process-per-worker discipline holds. With read-pausing enabled the
-// pump additionally implements connection-level backpressure (Shen &
-// Schulzrinne): while the owning worker's event queue is at its budget the
-// reader stops reading, unread bytes accumulate in the socket buffer, and
-// the kernel's flow control throttles the sender.
-func (w *tcpWorker) reader(c *conn.TCPConn) {
-	if err := w.srv.sub.handshakeAccepted(c); err != nil {
-		// A failed handshake takes the same exit as EOF/reset: the event
-		// loop returns the connection and the supervisor destroys it, so the
-		// fd and the connection object are reclaimed without a special path.
-		select {
-		case w.events <- workerEvent{c: c}:
-		case <-w.srv.closed:
-		}
-		return
-	}
-	ctrl := w.srv.sub.ctrl
-	pausing := ctrl.PausesReads()
-	budget := ctrl.QueueBudget()
-	for {
-		if pausing && len(w.events) >= budget {
-			ctrl.NoteReadPause()
-			for len(w.events) >= budget {
-				select {
-				case <-w.srv.closed:
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}
-		m, err := c.Stream().ReadMessage()
-		if err != nil {
-			select {
-			case w.events <- workerEvent{c: c}:
-			case <-w.srv.closed:
-			}
-			return
-		}
-		select {
-		case w.events <- workerEvent{c: c, m: m}:
-		case <-w.srv.closed:
-			return
-		}
-	}
-}
-
-func (w *tcpWorker) handleEvent(ev workerEvent) {
-	c := ev.c
-	if ev.m == nil {
-		// Reader terminated. If the connection was still active this is a
-		// peer close/reset: return it and tell the supervisor to destroy.
-		if c.MarkWorkerReturned() {
-			w.forget(c)
-			select {
-			case w.srv.retired <- c:
-			case <-w.srv.closed:
-			}
-		}
-		return
-	}
-	if c.State() != conn.StateActive {
-		ev.m.Release()
-		return // message raced with our idle return; drop as OpenSER would
-	}
+// handle runs one message as the worker process: under the worker's lock,
+// followed by the idle check OpenSER's workers make on every loop iteration
+// ("even the worker processes examined every connection they owned") — a
+// per-message cost Figure 5 measures. The wait for the lock is this
+// architecture's queue.
+func (w *tcpWorker) handle(c *conn.TCPConn, m *sipmsg.Message) {
+	w.waiting.Add(1)
+	w.mu.Lock()
+	queued := int(w.waiting.Add(-1))
 	now := time.Now()
-	// The time between the reader's parse and this worker picking the event
-	// up is queue wait — the gap a traced timeline must account for.
-	trace.Of(ev.m).Gap(trace.StageQueue, now)
-	// The first traced request on a TLS connection inherits the handshake
-	// that preceded it (negative Start offset: the cost was paid before the
-	// request's first byte parsed).
-	if end, d, ok := c.TakeHandshake(); ok {
-		trace.Of(ev.m).Add(trace.StageHandshake, end.Add(-d), d)
-	}
-	c.Touch(now, w.srv.sub.cfg.IdleTimeout)
-	w.localMgr.Touch(c)
-	// Admission control runs before transaction and database work; the
-	// queue depth doubles as the threshold policy's per-worker load signal.
-	if !w.srv.sub.admit(w.sender, ev.m, c, len(w.events)) {
-		ev.m.Release()
-		return
-	}
-	w.srv.sub.handleTimed(w.srv.engine, w.sender, ev.m, c)
-	// The engine retained the message if it needed it; the worker is done.
-	ev.m.Release()
+	trace.Of(m).Gap(trace.StageQueue, now)
+	w.srv.process(w.sender, w.localMgr, c, m, queued, now)
+	w.idleCheck(time.Now(), false)
+	w.mu.Unlock()
 }
 
-func (w *tcpWorker) forget(c *conn.TCPConn) {
-	delete(w.owned, c.ID())
-	w.localMgr.Remove(c)
+// drop is the reader's exit, an event like a message: if the connection
+// was still active this is a peer close, reset or failed handshake, so
+// return it and tell the supervisor to destroy it.
+func (w *tcpWorker) drop(c *conn.TCPConn) {
+	w.mu.Lock()
+	returned := c.MarkWorkerReturned()
+	if returned {
+		w.localMgr.Remove(c)
+	}
+	w.idleCheck(time.Now(), false)
+	w.mu.Unlock()
+	if returned {
+		select {
+		case w.srv.retired <- c:
+		case <-w.srv.closed:
+		}
+	}
 }
 
-// idleCheck is the worker's half of idle management: close and return
-// descriptors for connections idle past the timeout. The strategy (full
-// scan vs priority queue) is the Figure 5 variable.
+// idleCheck is the worker's half of idle management, run with mu held:
+// close and return descriptors for connections idle past the timeout. The
+// strategy (full scan vs priority queue) is the Figure 5 variable; the fd
+// cache is swept only on the periodic tick.
 func (w *tcpWorker) idleCheck(now time.Time, sweep bool) {
 	for _, c := range w.localMgr.Expired(now, func(c *conn.TCPConn, _ time.Time) bool {
 		return c.Owner() == w.id
 	}) {
 		if c.MarkWorkerReturned() {
-			delete(w.owned, c.ID())
 			// "Closing the worker's descriptor": stop reading. The blocked
 			// reader is unblocked via a read deadline and exits.
 			_ = c.Stream().SetReadDeadline(time.Now())
@@ -541,28 +448,16 @@ func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 	return nil
 }
 
-func (s *tcpServer) Addr() string                { return s.ln.Addr().String() }
-func (s *tcpServer) Engine() *proxy.Engine       { return s.engine }
-func (s *tcpServer) Profile() *metrics.Profile   { return s.sub.prof }
-func (s *tcpServer) Location() *location.Service { return s.sub.loc }
-func (s *tcpServer) DB() *userdb.DB              { return s.sub.db }
-func (s *tcpServer) Timers() timerlist.Scheduler { return s.sub.timers }
-func (s *tcpServer) Tracer() *trace.Recorder     { return s.sub.rec }
-
-// ConnCount reports live connection objects (exported for tests and the
-// experiment harness via type assertion).
-func (s *tcpServer) ConnCount() int { return s.table.Len() }
-
+// Close shuts the fabric down before the connections, so a handler blocked
+// in RequestFD returns, and closes the fd caches once no handler can touch
+// them.
 func (s *tcpServer) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		s.ln.Close()
-		s.fabric.Close()
-		for _, c := range s.table.Snapshot() {
-			s.table.Remove(c)
+	s.shutdown(s.fabric.Close, func() {
+		for _, w := range s.workers {
+			if w.cache != nil {
+				w.cache.Close()
+			}
 		}
 	})
-	s.wg.Wait()
-	s.sub.close()
 	return nil
 }

@@ -40,7 +40,7 @@ type OverloadScale struct {
 	DBPool        int
 	// MaxPending is the threshold policy's transaction budget.
 	MaxPending int
-	// MaxQueue is the per-worker queue budget (threshold + TCP read-pause).
+	// MaxQueue is the threshold policy's per-worker queue budget.
 	MaxQueue int
 	// ResponseTimeout and MaxRetries set client patience; impatient clients
 	// are what turn saturation into collapse.
@@ -84,7 +84,6 @@ type OverloadCell struct {
 	Offered  int64
 	Admitted int64
 	Rejected int64
-	Pauses   int64
 	// Bugfix-sweep health: IPC deadline hits, the fd-handle ledger, and the
 	// goroutine delta across the server's lifetime (all should read as
 	// "nothing leaked").
@@ -155,9 +154,9 @@ func RunOverload(sc OverloadScale, progress func(string)) (*OverloadReport, erro
 				}
 				rep.Cells = append(rep.Cells, *cell)
 				if progress != nil {
-					progress(fmt.Sprintf("[overload] %-9s %-3s %3d pairs: %s (%d shed, %d pauses, leak fd=%d goro=%d)",
+					progress(fmt.Sprintf("[overload] %-9s %-3s %3d pairs: %s (%d shed, leak fd=%d goro=%d)",
 						policy, kind, pairs, cell.Result,
-						cell.Rejected, cell.Pauses, cell.HandlesLeaked, cell.GoroutineDelta))
+						cell.Rejected, cell.HandlesLeaked, cell.GoroutineDelta))
 				}
 			}
 		}
@@ -183,7 +182,6 @@ func runOverloadCell(sc OverloadScale, policy overload.Policy, kind transport.Ki
 			Policy:     policy,
 			MaxPending: sc.MaxPending,
 			MaxQueue:   sc.MaxQueue,
-			PauseReads: kind == transport.TCP,
 		},
 	}
 	srv, err := core.New(cfg)
@@ -225,7 +223,6 @@ func runOverloadCell(sc OverloadScale, policy overload.Policy, kind transport.Ki
 		Offered:   srv.Profile().Counter(metrics.MetricOverloadOffered).Value(),
 		Admitted:  srv.Profile().Counter(metrics.MetricOverloadAdmitted).Value(),
 		Rejected:  srv.Profile().Counter(metrics.MetricOverloadRejected).Value(),
-		Pauses:    srv.Profile().Counter(metrics.MetricOverloadPauses).Value(),
 	}
 
 	// Close, then audit: the fd-handle ledger must balance and the server's
@@ -279,11 +276,11 @@ func (r *OverloadReport) Markdown() string {
 		for _, p := range r.Scale.Pairs {
 			fmt.Fprintf(&b, " %d pairs |", p)
 		}
-		b.WriteString(" shed @ max | pauses @ max |\n|---|")
+		b.WriteString(" shed @ max |\n|---|")
 		for range r.Scale.Pairs {
 			b.WriteString("---|")
 		}
-		b.WriteString("---|---|\n")
+		b.WriteString("---|\n")
 		top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
 		for _, policy := range overloadPolicies {
 			fmt.Fprintf(&b, "| %s |", policy)
@@ -295,9 +292,9 @@ func (r *OverloadReport) Markdown() string {
 				}
 			}
 			if c := r.Cell(policy, kind, top); c != nil {
-				fmt.Fprintf(&b, " %d | %d |\n", c.Rejected, c.Pauses)
+				fmt.Fprintf(&b, " %d |\n", c.Rejected)
 			} else {
-				b.WriteString(" - | - |\n")
+				b.WriteString(" - |\n")
 			}
 		}
 	}

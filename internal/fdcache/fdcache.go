@@ -5,8 +5,9 @@
 // round-trip and the wait on the (serialized) supervisor. A miss falls
 // through to the supervisor and the received handle is cached for reuse.
 //
-// The cache is per-worker and accessed only by its owning worker goroutine,
-// mirroring process-private memory, so it needs no locking.
+// The cache is per-worker and accessed only by the holder of its worker's
+// lock, mirroring process-private memory, so it needs no locking of its
+// own.
 package fdcache
 
 import (

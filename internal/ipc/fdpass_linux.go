@@ -17,8 +17,9 @@ import (
 // unixPair is one worker's AF_UNIX socketpair to the supervisor, carrying
 // socket file descriptors via SCM_RIGHTS — the same mechanism OpenSER
 // uses. The supervisor writes to sup; the worker reads from wrk. Each end
-// has one user (the supervisor loop; the worker's event loop), so each
-// end's scratch buffers are reused across requests without a lock.
+// has one user at a time (the supervisor loop; the holder of the worker's
+// lock), so each end's scratch buffers are reused across requests without
+// a lock of their own.
 type unixPair struct {
 	sup *net.UnixConn
 	wrk *net.UnixConn

@@ -191,8 +191,8 @@ type Fabric struct {
 // pair; chan mode replies over the per-request channel. stale counts
 // enqueued-then-abandoned requests whose responses are still in flight in
 // the socketpair; it is touched only from RequestFD, and each worker ID is
-// used by exactly one goroutine (the worker's event loop), so no lock is
-// needed.
+// used only by the holder of that worker's lock, so the port needs no lock
+// of its own.
 type workerPort struct {
 	unix  *unixPair // nil in chan mode
 	stale int

@@ -316,12 +316,11 @@ const (
 	MetricResolveMiss      = "udp.resolve_misses" // UDP destination-address resolve cache misses
 
 	// Overload-control counters (internal/overload): every new INVITE the
-	// admission controller saw, the split into admitted vs rejected-with-503,
-	// and TCP reader pause episodes (connection-level backpressure).
+	// admission controller saw, and the split into admitted vs
+	// rejected-with-503.
 	MetricOverloadOffered  = "overload.offered"
 	MetricOverloadAdmitted = "overload.admitted"
 	MetricOverloadRejected = "overload.rejected"
-	MetricOverloadPauses   = "overload.read_pauses"
 
 	// IPC robustness counters: fd requests abandoned on the per-request
 	// deadline, and the issued/closed balance for supervisor-granted
@@ -496,7 +495,7 @@ var standardCounters = []string{
 	MetricParseErrors,
 	MetricResolveHit, MetricResolveMiss,
 	MetricOverloadOffered, MetricOverloadAdmitted, MetricOverloadRejected,
-	MetricOverloadPauses, MetricIPCTimeouts,
+	MetricIPCTimeouts,
 	MetricIPCHandlesIssued, MetricIPCHandlesClosed,
 	MetricIPCWriteWaits, MetricIPCWriteTimeouts,
 	MetricUDPRecvSyscalls, MetricUDPRecvMsgs,

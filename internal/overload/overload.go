@@ -21,11 +21,11 @@
 //
 // Rejected INVITEs are answered with 503 Service Unavailable plus a
 // Retry-After delay (RFC 3261 §21.5.4), which costs one response
-// serialization instead of the full proxy pipeline. Under TCP the
-// controller additionally supports connection-level backpressure: pausing
-// per-connection read loops while a worker's pending-work budget is
-// exhausted, so the kernel's flow control pushes back on the sender
-// (Shen & Schulzrinne, "On TCP-based SIP Server Overload Control").
+// serialization instead of the full proxy pipeline. Stream connections need
+// no switch for connection-level backpressure (Shen & Schulzrinne, "On
+// TCP-based SIP Server Overload Control"): a reader finishes one message
+// before it reads the next, so a busy worker leaves bytes in the socket
+// buffer and the kernel's flow control pushes back on the sender.
 package overload
 
 import (
@@ -58,8 +58,8 @@ type Config struct {
 	// MaxPending is the threshold policy's in-flight transaction budget
 	// (0 = 4× the worker count).
 	MaxPending int
-	// MaxQueue bounds a worker's queued-but-unprocessed events: the
-	// threshold policy rejects past it, and TCP read-pausing engages at it
+	// MaxQueue is the threshold policy's per-worker budget of other
+	// messages waiting for the receiving worker or in process on it
 	// (0 = 64).
 	MaxQueue int
 	// TargetOccupancy is the occupancy policy's busy-fraction setpoint
@@ -73,10 +73,6 @@ type Config struct {
 	// RetryAfter is the base delay advertised on 503 rejections
 	// (0 = 1s). The advertised value grows with overload severity.
 	RetryAfter time.Duration
-	// PauseReads enables TCP connection-level backpressure: per-connection
-	// readers stop reading while the owning worker's event queue is at
-	// MaxQueue, letting kernel flow control throttle the peer.
-	PauseReads bool
 }
 
 // WithDefaults fills zero fields given the server's worker count.
@@ -126,7 +122,6 @@ type Controller struct {
 	offered  *metrics.Counter
 	admitted *metrics.Counter
 	rejected *metrics.Counter
-	pauses   *metrics.Counter
 	raHist   *metrics.Histogram
 }
 
@@ -144,7 +139,6 @@ func New(cfg Config, workers int, pending func() int, prof *metrics.Profile) *Co
 		offered:  prof.Counter(metrics.MetricOverloadOffered),
 		admitted: prof.Counter(metrics.MetricOverloadAdmitted),
 		rejected: prof.Counter(metrics.MetricOverloadRejected),
-		pauses:   prof.Counter(metrics.MetricOverloadPauses),
 		raHist:   prof.Histogram(metrics.StageRetryAfter),
 	}
 	c.winStart.Store(time.Now().UnixNano())
@@ -164,18 +158,11 @@ func (c *Controller) Active() bool { return c.cfg.Policy != PolicyNone }
 // policies skip the two time.Now calls per message.
 func (c *Controller) NeedsObserve() bool { return c.cfg.Policy == PolicyOccupancy }
 
-// PausesReads reports whether TCP readers should gate on QueueBudget.
-func (c *Controller) PausesReads() bool { return c.Active() && c.cfg.PauseReads }
-
-// QueueBudget is the per-worker queued-event budget read by both the
-// threshold policy and the TCP read-pause gate.
-func (c *Controller) QueueBudget() int { return c.cfg.MaxQueue }
-
 // RetryAfter returns the configured base Retry-After delay.
 func (c *Controller) RetryAfter() time.Duration { return c.cfg.RetryAfter }
 
 // Decide evaluates the policy for one new request without recording the
-// outcome; queued is the receiving worker's current queue depth. Callers
+// outcome; queued is the receiving worker's load (see Config.MaxQueue). Callers
 // that may override a rejection (e.g. admitting a retransmission of an
 // already-admitted transaction) record the final outcome via CountAdmit or
 // CountReject.
@@ -243,9 +230,6 @@ func (c *Controller) Observe(busy time.Duration) {
 	}
 	c.busyNS.Add(int64(busy))
 }
-
-// NoteReadPause records one TCP reader entering the paused state.
-func (c *Controller) NoteReadPause() { c.pauses.Inc() }
 
 // AdmitFraction returns the occupancy policy's current admission fraction
 // (1 for the other policies). Exposed for tests and reports.

@@ -33,7 +33,7 @@ type Stage uint8
 // Pipeline stages in rough flow order.
 const (
 	StageParse      Stage = iota // wire bytes → parsed message
-	StageQueue                   // event-queue wait between reader and worker
+	StageQueue                   // wait for the worker that runs the message (tcp: its lock)
 	StageAdmission               // overload-controller decision
 	StageTxn                     // transaction create/match
 	StageLocation                // location-service lookup / register
@@ -133,9 +133,10 @@ func (c *Context) add(s Stage, start time.Time, d time.Duration) {
 
 // Gap records a span of stage s covering the otherwise unaccounted time
 // from the end of the last recorded span (or the call's start) up to now.
-// This is how inter-stage waits — the TCP worker's event-queue delay, the
-// wait for the downstream party's response — enter the timeline without a
-// start timestamp having to be threaded through the intervening layers.
+// This is how inter-stage waits — a TCP reader's wait for its worker's
+// lock, the wait for the downstream party's response — enter the timeline
+// without a start timestamp having to be threaded through the intervening
+// layers.
 func (c *Context) Gap(s Stage, now time.Time) {
 	if c == nil {
 		return

@@ -868,6 +868,24 @@ func (tb *Table) Terminate(tx *Transaction) {
 	}
 }
 
+// TerminateAll terminates every transaction left in the table, giving back
+// the messages they hold. A server calls it at shutdown, once no receive
+// path can create or advance a transaction any more.
+func (tb *Table) TerminateAll() {
+	var live []*Transaction
+	for i := range tb.shards {
+		sh := &tb.shards[i]
+		sh.mu.Lock()
+		for _, tx := range sh.m {
+			live = append(live, tx)
+		}
+		sh.mu.Unlock()
+	}
+	for _, tx := range live {
+		tb.Terminate(tx)
+	}
+}
+
 func (tb *Table) remove(key string, tx *Transaction) {
 	sh := tb.shardFor(key)
 	tb.lock(sh)

@@ -135,6 +135,27 @@ func TestTerminateRemovesBothKeys(t *testing.T) {
 	tb.Terminate(tx) // idempotent
 }
 
+// TestTerminateAllEmptiesTable leaves a forwarded and a plain transaction
+// pending, as a server stopping under load would, and checks TerminateAll
+// removes both and counts neither as pending.
+func TestTerminateAllEmptiesTable(t *testing.T) {
+	tb, _ := newTestTable(Config{})
+	req := inviteReq("c4a")
+	tx, _ := tb.Create(key(t, req), req, nil)
+	fwd := req.Clone()
+	fwd.Prepend("Via", sipmsg.Via{Transport: "UDP", Host: "p", Params: map[string]string{"branch": sipmsg.NewBranch()}}.String())
+	tb.SetForwarded(tx, key(t, fwd), fwd, nil)
+	other := inviteReq("c4b")
+	tb.Create(key(t, other), other, nil)
+	tb.TerminateAll()
+	if tb.Len() != 0 || tb.Pending() != 0 {
+		t.Errorf("Len = %d, Pending = %d after TerminateAll", tb.Len(), tb.Pending())
+	}
+	if tx.State() != StateTerminated {
+		t.Errorf("state = %v, want terminated", tx.State())
+	}
+}
+
 func TestLingerThenRemoval(t *testing.T) {
 	tb, timers := newTestTable(Config{Linger: 50 * time.Millisecond})
 	req := inviteReq("c5")
