@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "which experiment: 3, 4, 5, profile, priority, arch, stages, transports, overload, batching, locks, register, outliers, syscalls, or all")
+		fig     = flag.String("fig", "all", "which experiment: 3, 4, 5, profile, priority, arch, stages, transports, overload, batching, locks, register, outliers, or all")
 		prefill = flag.Int("prefill", 0, "register sweep: pre-filled bindings in the location store (default 1000000)")
 		clients = flag.String("clients", "", "comma-separated client counts (default scale: 10,50,100)")
 		calls   = flag.Int("calls", 0, "calls per caller (default 100)")
@@ -71,7 +71,7 @@ func main() {
 
 	which := strings.Split(*fig, ",")
 	if *fig == "all" {
-		which = []string{"3", "4", "5", "profile", "priority", "arch", "scenarios", "loss", "stages", "transports", "overload", "batching", "locks", "register", "outliers", "syscalls"}
+		which = []string{"3", "4", "5", "profile", "priority", "arch", "scenarios", "loss", "stages", "transports", "overload", "batching", "locks", "register", "outliers"}
 	}
 	start := time.Now()
 	for _, f := range which {
@@ -221,26 +221,6 @@ func main() {
 			rep, err := experiment.RunLocks(lsc, progress)
 			if err != nil {
 				fatalf("locks: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Print(rep.Markdown())
-			}
-		case "syscalls":
-			ssc := experiment.DefaultSyscallScale()
-			if *clients != "" {
-				ssc.Pairs = sc.Clients
-			}
-			if *calls > 0 {
-				ssc.CallsPerCaller = *calls
-			}
-			if *workers > 0 {
-				ssc.Workers = *workers
-			}
-			rep, err := experiment.RunSyscalls(ssc, progress)
-			if err != nil {
-				fatalf("syscalls: %v", err)
 			}
 			fmt.Println()
 			fmt.Print(rep.Table())

@@ -35,7 +35,6 @@ func main() {
 		offset      = flag.Int("user-offset", 0, "first user index to use")
 		tlsInsecure = flag.Bool("tls-insecure", false, "tls: skip proxy certificate verification (self-signed proxies)")
 		tlsResume   = flag.Bool("tls-resume", true, "tls: share one session cache across the fleet so reconnects resume")
-		ioEngine    = flag.String("io-engine", "", "udp: phone-side I/O engine: batch (default), portable, or uring")
 	)
 	flag.Parse()
 
@@ -61,12 +60,6 @@ func main() {
 		}
 	}
 
-	engine, err := transport.ParseEngine(*ioEngine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sipload: %v\n", err)
-		os.Exit(1)
-	}
-
 	res, err := loadgen.Run(loadgen.Config{
 		Transport:       tkind,
 		TLS:             tlsCtx,
@@ -78,7 +71,6 @@ func main() {
 		ResponseTimeout: *timeout,
 		MaxRetries:      *retries,
 		UserOffset:      *offset,
-		IOEngine:        engine,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sipload: %v\n", err)

@@ -85,10 +85,6 @@ func main() {
 		udpShard     = flag.Int("udp-shard", 0, "SO_REUSEPORT UDP sockets to shard across (0/1 = one shared socket)")
 		udpLinger    = flag.Duration("udp-linger", 0, "egress batch flush deadline (0 = default; needs -udp-batch > 1)")
 		tcpCoalesce  = flag.Bool("tcp-coalesce", false, "coalesce contended TCP sends into one writev (group commit)")
-		ioEngine     = flag.String("io-engine", "", "I/O engine: batch (default), portable, or uring (io_uring completion rings; falls back to batch when the kernel denies it)")
-		uringRing    = flag.Int("uring-ring", 0, "io_uring submission-queue entries per ring (0 = sized from -udp-batch)")
-		uringBufs    = flag.Int("uring-bufs", 0, "registered ingress buffers per uring UDP socket (0 = sized from -udp-batch)")
-		uringBufSize = flag.Int("uring-bufsize", 0, "bytes per registered ingress buffer (0 = 4096; larger UDP datagrams truncate)")
 		soRcvbuf     = flag.Int("so-rcvbuf", 0, "requested SO_RCVBUF for proxy sockets (0 = kernel default)")
 		soSndbuf     = flag.Int("so-sndbuf", 0, "requested SO_SNDBUF for proxy sockets (0 = kernel default)")
 		timerImpl    = flag.String("timer-impl", "heap", "timer data structure: heap (paper-faithful) or wheel (sharded timing wheel)")
@@ -130,12 +126,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	engine, err := transport.ParseEngine(*ioEngine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sipproxyd: %v\n", err)
-		os.Exit(1)
-	}
-
 	routes := map[string]string{}
 	if *routesFlag != "" {
 		for _, pair := range strings.Split(*routesFlag, ",") {
@@ -170,10 +160,6 @@ func main() {
 		UDPShards:         *udpShard,
 		EgressLinger:      *udpLinger,
 		TCPCoalesce:       *tcpCoalesce,
-		IOEngine:          engine,
-		UringRing:         *uringRing,
-		UringBufs:         *uringBufs,
-		UringBufSize:      *uringBufSize,
 		SoRcvBuf:          *soRcvbuf,
 		SoSndBuf:          *soSndbuf,
 		TimerImpl:         timerlist.Impl(*timerImpl),
@@ -258,14 +244,6 @@ func main() {
 			src = *tlsCert
 		}
 		fmt.Printf("sipproxyd: TLS: cert=%s resume=%v ticket-rotate=%v\n", src, *tlsResume, *tlsRotate)
-	}
-	if engine != transport.EngineBatch {
-		ok, feat, reason := transport.UringProbeInfo()
-		if engine == transport.EngineUring && !ok {
-			fmt.Printf("sipproxyd: io-engine: uring requested but probe denied (%s); running on batch\n", reason)
-		} else {
-			fmt.Printf("sipproxyd: io-engine: %s (uring probe ok=%v features=0x%x)\n", engine, ok, feat)
-		}
 	}
 	if *udpBatch > 1 || *udpShard > 1 || *tcpCoalesce {
 		fmt.Printf("sipproxyd: batched I/O: udp-batch=%d udp-shard=%d tcp-coalesce=%v\n",

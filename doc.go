@@ -8,17 +8,16 @@
 // address space, SCTP-style transport), and the complete benchmarking
 // methodology.
 //
-// The root package holds the benchmark suite (bench_test.go): one
-// testing.B benchmark per figure workload of the paper's evaluation plus
-// the ablations DESIGN.md calls out. The implementation lives under
-// internal/ (see README.md for the map), the runnable tools under cmd/,
-// and end-to-end demonstrations under examples/.
+// The root package holds only this overview. The implementation lives
+// under internal/ (see README.md for the map), the runnable tools under
+// cmd/, end-to-end demonstrations under examples/, and the repository's
+// out-of-process benchmark under bench/.
 //
 // Start with:
 //
 //	go run ./examples/quickstart        # one call through an in-process proxy
 //	go run ./cmd/sipexperiment -fig all # regenerate the paper's figures
-//	go test -bench=. -benchmem          # the benchmark suite
+//	bash bench/run.sh --workload udp.calls --seed 1 --seconds 8 --trace 0
 //
 // DESIGN.md documents the system inventory and every simulation
 // substitution; EXPERIMENTS.md records paper-vs-measured results.

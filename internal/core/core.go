@@ -148,22 +148,6 @@ type Config struct {
 	// (0 = kernel default).
 	SoRcvBuf, SoSndBuf int
 
-	// --- I/O engine knobs ---
-
-	// IOEngine selects the kernel I/O submission model for the hot paths.
-	// "" or "batch" keeps the default engines (batching itself stays opt-in
-	// per knob above, so the default is bit-identical to prior behaviour).
-	// "uring" runs the UDP sockets and stream connections on io_uring
-	// completion rings where the runtime probe allows it, degrading to the
-	// batch engines otherwise; "portable" pins one blocking syscall per
-	// operation even where the batched paths are available. With "uring",
-	// UDPBatch defaults to 32 (the ring consumes completions in batches
-	// regardless; the knob shapes reader capacity and ring sizing).
-	IOEngine transport.IOEngine
-	// UringRing/UringBufs/UringBufSize shape the rings (see
-	// transport.UDPOptions); zeros scale from UDPBatch.
-	UringRing, UringBufs, UringBufSize int
-
 	// --- TLS transport knobs (stream architectures only) ---
 
 	// TLS arms the TLS transport on the tcp/threaded architectures:
@@ -309,9 +293,6 @@ func (c Config) withDefaults() Config {
 	if c.UDPShards > c.Workers {
 		c.UDPShards = c.Workers
 	}
-	if c.IOEngine == transport.EngineUring && c.UDPBatch == 0 {
-		c.UDPBatch = 32
-	}
 	if c.Profile == nil {
 		c.Profile = metrics.NewProfile()
 	}
@@ -340,11 +321,6 @@ type Server interface {
 
 // New starts a server of the configured architecture.
 func New(cfg Config) (Server, error) {
-	eng, err := transport.ParseEngine(string(cfg.IOEngine))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	cfg.IOEngine = eng
 	cfg = cfg.withDefaults()
 	if cfg.Dispatch != DispatchRR && cfg.Dispatch != DispatchAffinity {
 		return nil, fmt.Errorf("core: unknown dispatch policy %q", cfg.Dispatch)
@@ -387,16 +363,6 @@ type substrate struct {
 	// fabric but were pinned to the owning worker because a *tls.Conn's
 	// crypto state lives in user space and cannot travel with the fd.
 	tlsPinned *metrics.Counter
-	// streamEng is non-nil when the stream sockets run on the io_uring
-	// engine: the listener accepts via multishot ACCEPT and every accepted
-	// or dialed connection becomes a completion-driven net.Conn. Nil means
-	// the portable listener path (engine not requested, or probe denied).
-	streamEng *transport.StreamEngine
-	// uringPinned counts fd-economy bypasses forced by engine-backed
-	// connections, the uring analogue of tlsPinned: a uringConn's state
-	// (ring registration, buffered segments) is process-local, so its fd
-	// cannot travel over SCM_RIGHTS either.
-	uringPinned *metrics.Counter
 	// obsBusy caches ctrl.NeedsObserve so the per-message path skips two
 	// time.Now calls for policies that ignore busy time.
 	obsBusy bool
@@ -445,31 +411,11 @@ func newSubstrate(cfg Config) (*substrate, error) {
 	}
 	prof.SetGauge(metrics.GaugeTimersPending, func() float64 { return float64(timers.Len()) })
 	prof.SetGauge(metrics.GaugeTimersCancelledResident, func() float64 { return float64(timers.CancelledResident()) })
-	var streamEng *transport.StreamEngine
-	if cfg.IOEngine == transport.EngineUring && (cfg.Arch == ArchTCP || cfg.Arch == ArchThreaded) {
-		streamEng, err = transport.NewStreamEngine(transport.StreamEngineOptions{
-			Profile: prof,
-			RcvBuf:  cfg.SoRcvBuf,
-			SndBuf:  cfg.SoSndBuf,
-			Ring:    cfg.UringRing,
-			Bufs:    cfg.UringBufs,
-			BufSize: cfg.UringBufSize,
-		})
-		if err != nil {
-			timers.Close()
-			tlsCtx.Close()
-			return nil, fmt.Errorf("core: stream engine: %w", err)
-		}
-		// streamEng stays nil when the probe denied io_uring: the server
-		// keeps the portable listener path (batch-engine fallback).
-	}
 	s := &substrate{
-		cfg:         cfg,
-		prof:        prof,
-		tls:         tlsCtx,
-		tlsPinned:   prof.Counter(metrics.MetricTLSPinnedSends),
-		streamEng:   streamEng,
-		uringPinned: prof.Counter(metrics.MetricUringPinnedSends),
+		cfg:       cfg,
+		prof:      prof,
+		tls:       tlsCtx,
+		tlsPinned: prof.Counter(metrics.MetricTLSPinnedSends),
 		loc: location.NewService(location.Options{
 			Shards:        cfg.LocShards,
 			Profile:       prof,
@@ -510,59 +456,6 @@ func (s *substrate) close() {
 	s.timers.Close()
 	s.loc.Close()
 	s.tls.Close()
-	if s.streamEng != nil {
-		s.streamEng.Close()
-	}
-}
-
-// listenStream opens the server's stream listener on the configured engine:
-// multishot-ACCEPT via the io_uring engine when armed, net.Listen otherwise.
-func (s *substrate) listenStream(addr string) (net.Listener, error) {
-	if s.streamEng != nil {
-		return s.streamEng.Listen(addr)
-	}
-	return net.Listen("tcp", addr)
-}
-
-// engineBacked reports whether a connection's kernel-facing half is an
-// io_uring engine conn, looking through a TLS layer if one is stacked on
-// top. Engine conns carry their own write instrumentation and group-commit
-// semantics, and their fds cannot travel over SCM_RIGHTS.
-func engineBacked(nc net.Conn) bool {
-	if tc, ok := nc.(*tls.Conn); ok {
-		nc = tc.NetConn()
-	}
-	return transport.IsEngineConn(nc)
-}
-
-// streamEngineSelected names the engine the stream architectures actually
-// run on after probing and fallback.
-func (s *substrate) streamEngineSelected() transport.IOEngine {
-	if s.streamEng != nil {
-		return transport.EngineUring
-	}
-	if s.cfg.IOEngine == transport.EnginePortable {
-		return transport.EnginePortable
-	}
-	return transport.EngineBatch
-}
-
-// setEngineInfo publishes the gosip_io_engine info gauge: the engine that
-// actually armed (after probing and fallback), the probe verdict, and the
-// kernel's io_uring feature bits.
-func (s *substrate) setEngineInfo(selected transport.IOEngine) {
-	ok, feat, reason := transport.UringProbeInfo()
-	probe := "ok"
-	if !ok {
-		probe = "denied"
-	}
-	s.prof.SetInfo("io_engine", [][2]string{
-		{"engine", string(selected)},
-		{"requested", string(s.cfg.IOEngine)},
-		{"probe", probe},
-		{"reason", reason},
-		{"features", fmt.Sprintf("0x%x", feat)},
-	})
 }
 
 // streamKind names the transport spoken on the server's stream sockets —
@@ -608,44 +501,38 @@ func (s *substrate) engineConfig(kind transport.Kind, host string, port int) pro
 // observer. Every stream connection a server touches goes through here, so
 // the TCP knobs apply uniformly across the §3.1 and §6 architectures.
 func (s *substrate) wrapStream(nc net.Conn) *transport.StreamConn {
-	if tc, ok := nc.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-		if s.cfg.SoRcvBuf > 0 {
-			_ = tc.SetReadBuffer(s.cfg.SoRcvBuf)
-		}
-		if s.cfg.SoSndBuf > 0 {
-			_ = tc.SetWriteBuffer(s.cfg.SoSndBuf)
-		}
-		if s.streamEng != nil {
-			// Move the established socket onto the completion engine; the
-			// engine conn inherits the options just applied. Connections
-			// accepted by the engine's own listener arrive already converted.
-			if ec, err := s.streamEng.Wrap(tc); err == nil {
-				nc = ec
-			}
-		}
-	}
+	s.tuneSocket(nc)
 	if _, isTLS := nc.(*tls.Conn); s.tls != nil && !isTLS {
-		// Accepted connections get the TLS server layer here — whether the
-		// underlying conn is a plain TCP socket or an engine conn; the
-		// handshake itself runs later, in the owning worker's reader
+		// Accepted connections get the TLS server layer here; the handshake
+		// itself runs later, in the owning worker's reader
 		// (handshakeAccepted), so a slow client can't stall the supervisor's
 		// accept loop. Dialed connections arrive as *tls.Conn and skip this.
 		nc = s.tls.Server(nc)
 	}
 	sc := transport.NewStreamConn(nc)
-	// An engine conn's write path is already a group commit (queued writes
-	// leave as one SENDMSG) and already counts tcp.write_calls per flush and
-	// tcp.write_msgs per write, so the StreamConn layer must neither
-	// double-count nor stack a second coalescer on top of it.
-	if !engineBacked(nc) {
-		sc.InstrumentWrites(s.tcpWriteCalls, s.tcpWriteMsgs)
-		if s.cfg.TCPCoalesce {
-			sc.EnableCoalesce()
-		}
+	sc.InstrumentWrites(s.tcpWriteCalls, s.tcpWriteMsgs)
+	if s.cfg.TCPCoalesce {
+		sc.EnableCoalesce()
 	}
 	sc.SetParseObserver(s.observeParse)
 	return sc
+}
+
+// tuneSocket applies the socket options to a raw TCP connection; anything
+// else (a *tls.Conn, whose socket was tuned before the TLS layer hid it) is
+// left alone.
+func (s *substrate) tuneSocket(nc net.Conn) {
+	tc, ok := nc.(*net.TCPConn)
+	if !ok {
+		return
+	}
+	_ = tc.SetNoDelay(true)
+	if s.cfg.SoRcvBuf > 0 {
+		_ = tc.SetReadBuffer(s.cfg.SoRcvBuf)
+	}
+	if s.cfg.SoSndBuf > 0 {
+		_ = tc.SetWriteBuffer(s.cfg.SoSndBuf)
+	}
 }
 
 // dialStream establishes an outbound stream connection with the same
@@ -663,22 +550,8 @@ func (s *substrate) dialStream(hostport string) (sc *transport.StreamConn, hs ti
 		return s.wrapStream(nc), 0, nil
 	}
 	// Socket options must land on the raw TCP socket before the TLS layer
-	// hides it behind a *tls.Conn; the engine conversion likewise happens
-	// below TLS so the record layer rides the completion-driven conn.
-	if tc, ok := nc.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-		if s.cfg.SoRcvBuf > 0 {
-			_ = tc.SetReadBuffer(s.cfg.SoRcvBuf)
-		}
-		if s.cfg.SoSndBuf > 0 {
-			_ = tc.SetWriteBuffer(s.cfg.SoSndBuf)
-		}
-		if s.streamEng != nil {
-			if ec, err := s.streamEng.Wrap(tc); err == nil {
-				nc = ec
-			}
-		}
-	}
+	// hides it behind a *tls.Conn.
+	s.tuneSocket(nc)
 	tconn := s.tls.Client(nc, hostport)
 	hs, err = s.tls.Handshake(tconn)
 	if err != nil {

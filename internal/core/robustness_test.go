@@ -104,23 +104,38 @@ func TestAbruptClientDisconnect(t *testing.T) {
 
 // TestStatelessProxyEndToEnd runs the §2 stateless configuration: no
 // Trying, no transaction state, but calls still complete (the caller
-// carries the reliability burden).
+// carries the reliability burden). Over a stream transport the relayed
+// responses must reach the caller on the connection its request came in on.
 func TestStatelessProxyEndToEnd(t *testing.T) {
-	srv, err := New(Config{
-		Arch:     ArchUDP,
-		Workers:  4,
-		Stateful: false,
-		Domain:   testDomain,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.DB().ProvisionN(16, testDomain)
-	res := runLoad(t, srv, transport.UDP, 3, 4, 0)
-	assertClean(t, res, 12)
-	if got := srv.Profile().Counter(metrics.MetricTxnCreated).Value(); got != 0 {
-		t.Errorf("stateless proxy created %d transactions", got)
+	for _, tc := range []struct {
+		arch Architecture
+		kind transport.Kind
+	}{
+		{ArchUDP, transport.UDP},
+		{ArchTCP, transport.TCP},
+		{ArchThreaded, transport.TCP},
+	} {
+		t.Run(string(tc.arch), func(t *testing.T) {
+			srv, err := New(Config{
+				Arch:     tc.arch,
+				Workers:  4,
+				Stateful: false,
+				Domain:   testDomain,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			srv.DB().ProvisionN(16, testDomain)
+			res := runLoad(t, srv, tc.kind, 3, 4, 0)
+			assertClean(t, res, 12)
+			if got := srv.Profile().Counter(metrics.MetricTxnCreated).Value(); got != 0 {
+				t.Errorf("stateless proxy created %d transactions", got)
+			}
+			if got := srv.Profile().Counter("proxy.drops").Value(); got != 0 {
+				t.Errorf("proxy.drops = %d", got)
+			}
+		})
 	}
 }
 

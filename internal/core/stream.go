@@ -44,7 +44,7 @@ func newStreamBase(cfg Config) (*streamBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := sub.listenStream(cfg.Addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		sub.close()
 		return nil, err

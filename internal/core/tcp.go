@@ -112,7 +112,6 @@ func newTCPServer(cfg Config) (Server, error) {
 		w.sender = &tcpSender{w: w}
 		srv.workers = append(srv.workers, w)
 	}
-	sub.setEngineInfo(sub.streamEngineSelected())
 	srv.wg.Add(2 + len(srv.workers))
 	go srv.acceptor()
 	go srv.supervisor()
@@ -390,21 +389,15 @@ func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 		w.localMgr.Touch(c)
 		return nil
 	}
-	if w.srv.sub.tls != nil || w.srv.sub.streamEng != nil {
-		// TLS and the io_uring engine both break the fd-passing model: the
-		// connection's stream state (record-layer crypto for TLS; ring
-		// registration and buffered completion segments for engine conns)
-		// lives in this process's user space, so a duplicated descriptor in
-		// another worker would desynchronize the stream. Non-owner sends are
-		// pinned to the shared connection object instead of going through
-		// the fd cache or the supervisor fabric — the send lock serializes
-		// writers, and tls.pinned_sends / uring.pinned_sends measure how
-		// often the architecture's fd economy is bypassed.
-		if w.srv.sub.tls != nil {
-			w.srv.sub.tlsPinned.Inc()
-		} else {
-			w.srv.sub.uringPinned.Inc()
-		}
+	if w.srv.sub.tls != nil {
+		// TLS breaks the fd-passing model: the connection's record-layer
+		// crypto state lives in this process's user space, so a duplicated
+		// descriptor in another worker would desynchronize the stream.
+		// Non-owner sends are pinned to the shared connection object instead
+		// of going through the fd cache or the supervisor fabric — the send
+		// lock serializes writers, and tls.pinned_sends measures how often
+		// the architecture's fd economy is bypassed.
+		w.srv.sub.tlsPinned.Inc()
 		if err := ipc.DirectHandle(c).Send(m); err != nil {
 			return err
 		}

@@ -58,7 +58,6 @@ func newThreadedServer(cfg Config) (Server, error) {
 		w.sender = &threadedSender{w: w}
 		srv.workers = append(srv.workers, w)
 	}
-	base.sub.setEngineInfo(base.sub.streamEngineSelected())
 	srv.wg.Add(1 + len(srv.workers))
 	go srv.acceptor()
 	for _, w := range srv.workers {

@@ -158,15 +158,11 @@ func newUDPServer(cfg Config) (Server, error) {
 		nShards = 1
 	}
 	opts := transport.UDPOptions{
-		BatchSize:    cfg.UDPBatch,
-		ReusePort:    nShards > 1,
-		RcvBuf:       cfg.SoRcvBuf,
-		SndBuf:       cfg.SoSndBuf,
-		Profile:      sub.prof,
-		Engine:       cfg.IOEngine,
-		UringRing:    cfg.UringRing,
-		UringBufs:    cfg.UringBufs,
-		UringBufSize: cfg.UringBufSize,
+		BatchSize: cfg.UDPBatch,
+		ReusePort: nShards > 1,
+		RcvBuf:    cfg.SoRcvBuf,
+		SndBuf:    cfg.SoSndBuf,
+		Profile:   sub.prof,
 	}
 	closeAll := func(socks []*transport.UDPSocket) {
 		for _, s := range socks {
@@ -193,7 +189,6 @@ func newUDPServer(cfg Config) (Server, error) {
 	}
 
 	local := first.LocalAddr()
-	sub.setEngineInfo(first.Engine())
 	engine := proxy.NewEngine(sub.engineConfig(transport.UDP, local.IP.String(), local.Port), sub.loc, sub.db, sub.txns, sub.prof)
 	faults := newFaultGate(cfg.Faults)
 	cache := newResolveCache(sub.prof)

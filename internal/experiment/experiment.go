@@ -215,6 +215,10 @@ func runCell(w Workload, clients int, sc Scale, variant Variant) (*Cell, error) 
 	if err != nil {
 		return nil, err
 	}
+	// The last response reaches its phone before the handler that relayed it
+	// returns; Close joins every handler, so the snapshot sees each message
+	// counted and its stage timings recorded alike.
+	srv.Close()
 	return &Cell{Workload: w, Clients: clients, Result: res, Snapshot: srv.Profile().Snapshot(), Series: series}, nil
 }
 
@@ -371,17 +375,4 @@ func (f *Figure) TCPOfUDPRange() (lo, hi float64) {
 		return 0, 0
 	}
 	return lo, hi
-}
-
-// selectedEngine reads the I/O engine a server actually armed from its
-// gosip_io_engine info gauge (set at startup by every architecture). The
-// batch default is reported when the gauge is absent — servers predating
-// the engine layer, or profiles from other processes.
-func selectedEngine(prof *metrics.Profile) transport.IOEngine {
-	for _, kv := range prof.Infos()["io_engine"] {
-		if kv[0] == "engine" {
-			return transport.IOEngine(kv[1])
-		}
-	}
-	return transport.EngineBatch
 }

@@ -47,10 +47,6 @@ type OutlierScale struct {
 	// so the tail is observed rather than truncated into failures.
 	ResponseTimeout time.Duration
 	MaxRetries      int
-	// Engine selects the server I/O engine for every cell (empty = batch
-	// default). The cell labels carry the engine that actually armed, so a
-	// denied uring probe is visible in the report rather than silent.
-	Engine transport.IOEngine
 }
 
 // DefaultOutlierScale queues ~8 callers on one 5 ms serialized query per
@@ -76,10 +72,7 @@ func DefaultOutlierScale() OutlierScale {
 type OutlierCell struct {
 	Transport transport.Kind
 	Arch      core.Architecture
-	// Engine is the I/O engine the server actually selected (after the
-	// startup probe and any fallback), from the gosip_io_engine info gauge.
-	Engine transport.IOEngine
-	Result loadgen.Result
+	Result    loadgen.Result
 	// Flight-recorder ledger for the run.
 	Retained   int64
 	Dropped    int64
@@ -145,8 +138,8 @@ func RunOutliers(sc OutlierScale, progress func(string)) (*OutlierReport, error)
 					cell.Exemplar.E2E.Round(time.Microsecond),
 					cell.Exemplar.Coverage().Round(time.Microsecond))
 			}
-			progress(fmt.Sprintf("[outliers] %-3s %-8s engine=%-5s: %s | retained=%d (%d slow) dropped=%d | %s",
-				c.kind, c.arch, cell.Engine, cell.Result, cell.Retained, cell.SlowRetained, cell.Dropped, ex))
+			progress(fmt.Sprintf("[outliers] %-3s %-8s: %s | retained=%d (%d slow) dropped=%d | %s",
+				c.kind, c.arch, cell.Result, cell.Retained, cell.SlowRetained, cell.Dropped, ex))
 		}
 	}
 	return rep, nil
@@ -163,7 +156,6 @@ func runOutlierCell(sc OutlierScale, kind transport.Kind, arch core.Architecture
 		ConnMgr:  connmgr.KindScan,
 		DB:       userdb.Config{LookupLatency: sc.LookupLatency, PoolSize: sc.DBPool},
 		Trace:    trace.Config{Sample: sc.Sample, Slow: sc.SlowThreshold, Ring: sc.Ring},
-		IOEngine: sc.Engine,
 	}
 	srv, err := core.New(cfg)
 	if err != nil {
@@ -195,7 +187,6 @@ func runOutlierCell(sc OutlierScale, kind transport.Kind, arch core.Architecture
 	cell := &OutlierCell{
 		Transport:  kind,
 		Arch:       arch,
-		Engine:     selectedEngine(srv.Profile()),
 		Result:     res,
 		Retained:   srv.Profile().Counter(metrics.MetricTraceRetained).Value(),
 		Dropped:    srv.Profile().Counter(metrics.MetricTraceDropped).Value(),
@@ -267,7 +258,7 @@ func (r *OutlierReport) Table() string {
 		r.Scale.SlowThreshold, r.Scale.Sample)
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		fmt.Fprintf(&b, "\n%s / %s [engine=%s]: %s\n", c.Transport, c.Arch, c.Engine, c.Result)
+		fmt.Fprintf(&b, "\n%s / %s: %s\n", c.Transport, c.Arch, c.Result)
 		fmt.Fprintf(&b, "  recorder: retained=%d (%d slow) dropped=%d truncated=%d sampled_out=%d\n",
 			c.Retained, c.SlowRetained, c.Dropped, c.Truncated, c.SampledOut)
 		if c.Exemplar == nil {
@@ -285,8 +276,8 @@ func (r *OutlierReport) Table() string {
 // the slowest exemplar's stage breakdown.
 func (r *OutlierReport) Markdown() string {
 	var b strings.Builder
-	b.WriteString("\n| transport | arch | engine | p50 | p99 | max | retained (slow) | exemplar e2e | accounted |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("\n| transport | arch | p50 | p99 | max | retained (slow) | exemplar e2e | accounted |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|\n")
 	var worst *trace.Trace
 	var worstCell *OutlierCell
 	for i := range r.Cells {
@@ -299,8 +290,8 @@ func (r *OutlierReport) Markdown() string {
 				worst, worstCell = c.Exemplar, c
 			}
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s | %v | %v | %v | %d (%d) | %s | %s |\n",
-			c.Transport, c.Arch, c.Engine,
+		fmt.Fprintf(&b, "| %s | %s | %v | %v | %v | %d (%d) | %s | %s |\n",
+			c.Transport, c.Arch,
 			c.Result.P50CallLatency.Round(time.Microsecond),
 			c.Result.P99CallLatency.Round(time.Microsecond),
 			c.Result.MaxCallLatency.Round(time.Microsecond),

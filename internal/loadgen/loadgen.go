@@ -65,8 +65,6 @@ type Config struct {
 	// UserOffset shifts the user index range so multiple runs against one
 	// server use distinct users.
 	UserOffset int
-	// IOEngine selects the phones' UDP I/O engine (empty = batch default).
-	IOEngine transport.IOEngine
 }
 
 func (c Config) withDefaults() Config {
@@ -201,7 +199,6 @@ func Run(cfg Config) (Result, error) {
 			MaxRetries:      cfg.MaxRetries,
 			RejectRetries:   cfg.RejectRetries,
 			BackoffCap:      cfg.BackoffCap,
-			IOEngine:        cfg.IOEngine,
 		}
 	}
 

@@ -93,7 +93,6 @@ type Profile struct {
 	timers   map[string]*Timer
 	hists    map[string]*Histogram
 	gauges   map[string]func() float64
-	infos    map[string][][2]string
 	started  time.Time
 }
 
@@ -104,7 +103,6 @@ func NewProfile() *Profile {
 		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*Histogram),
 		gauges:   make(map[string]func() float64),
-		infos:    make(map[string][][2]string),
 		started:  time.Now(),
 	}
 }
@@ -159,28 +157,6 @@ func (p *Profile) SetGauge(name string, fn func() float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gauges[name] = fn
-}
-
-// SetInfo registers an info-style metric: a constant-1 gauge whose payload
-// is its label set (the gosip_build_info convention, RFC'd by Prometheus as
-// the "info" pattern). Labels are ordered key/value pairs, emitted in the
-// order given. Re-setting a name replaces the previous label set.
-func (p *Profile) SetInfo(name string, labels [][2]string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.infos[name] = labels
-}
-
-// Infos returns the registered info metrics (shared backing arrays; callers
-// must not mutate).
-func (p *Profile) Infos() map[string][][2]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string][][2]string, len(p.infos))
-	for k, v := range p.infos {
-		out[k] = v
-	}
-	return out
 }
 
 // Snapshot is an immutable view of a profile at one instant.
@@ -387,29 +363,6 @@ const (
 	MetricTraceDropped    = "trace.dropped"
 	MetricTraceTruncated  = "trace.truncated"
 	MetricTraceSampledOut = "trace.sampled_out"
-
-	// io_uring engine counters (internal/transport). The completion model
-	// splits kernel crossings into submit enters (SQE batches pushed in) and
-	// wait enters (the reaper blocking for completions); everything else is
-	// bookkeeping on how the rings behaved: completions reaped, multishot
-	// operations rearmed after the kernel retired them, buffer-ring
-	// exhaustion events (ingress paused until consumers freed buffers), CQ
-	// overflows absorbed by the kernel's backlog, sends that fell back to a
-	// direct syscall (slot exhaustion or oversized payload), asynchronous
-	// send errors, datagrams truncated by the ingress buffer size, and — for
-	// the §3.1 process-pool architecture — sends pinned to the owning worker
-	// because a ring-attached connection cannot travel over SCM_RIGHTS.
-	MetricUringSubmits      = "uring.submit_enters"
-	MetricUringSQEs         = "uring.sqes"
-	MetricUringWaits        = "uring.wait_enters"
-	MetricUringCQEs         = "uring.cqes"
-	MetricUringResubmits    = "uring.resubmits"
-	MetricUringBufExhausted = "uring.buf_exhausted"
-	MetricUringCQOverflows  = "uring.cq_overflows"
-	MetricUringSendFallback = "uring.send_fallback"
-	MetricUringSendErrors   = "uring.send_errors"
-	MetricUringRecvTrunc    = "uring.recv_truncated"
-	MetricUringPinnedSends  = "uring.pinned_sends"
 )
 
 // GaugeOpenConns is the snapshot-time size of the shared connection table
@@ -469,15 +422,6 @@ const (
 	HistSendBatch = "batch.send_occupancy"
 )
 
-// io_uring ring-shape histograms: SQEs pushed per submit enter (how much
-// work each kernel crossing carried in) and CQEs reaped per wait enter (how
-// much came back per wakeup), through the same unitless 1-ns-per-item
-// convention as the batch occupancies.
-const (
-	HistUringSQBatch = "uring.sq_batch"
-	HistUringCQBatch = "uring.cq_batch"
-)
-
 // StageNames lists every per-stage histogram in pipeline order, for
 // reports that want a stable, complete stage table.
 var StageNames = []string{
@@ -510,10 +454,6 @@ var standardCounters = []string{
 	MetricTLSTicketRotations, MetricTLSPinnedSends,
 	MetricTraceRetained, MetricTraceDropped, MetricTraceTruncated,
 	MetricTraceSampledOut,
-	MetricUringSubmits, MetricUringSQEs, MetricUringWaits, MetricUringCQEs,
-	MetricUringResubmits, MetricUringBufExhausted, MetricUringCQOverflows,
-	MetricUringSendFallback, MetricUringSendErrors, MetricUringRecvTrunc,
-	MetricUringPinnedSends,
 }
 
 var standardTimers = []string{
@@ -539,7 +479,5 @@ func (p *Profile) RegisterStandard() {
 	p.Histogram(StageRetryAfter)
 	p.Histogram(HistRecvBatch)
 	p.Histogram(HistSendBatch)
-	p.Histogram(HistUringSQBatch)
-	p.Histogram(HistUringCQBatch)
 	p.SetGauge(GaugeMsgPoolOutstanding, func() float64 { return float64(sipmsg.PoolOutstanding()) })
 }

@@ -143,28 +143,6 @@ func buildInfoGauges(w io.Writer, p *Profile) {
 	fmt.Fprintf(w, "# HELP gosip_process_start_time_seconds Unix time the profile (server run) started.\n")
 	fmt.Fprintf(w, "# TYPE gosip_process_start_time_seconds gauge\n")
 	fmt.Fprintf(w, "gosip_process_start_time_seconds %g\n", float64(p.StartedAt().UnixNano())/1e9)
-	infoGauges(w, p)
-}
-
-// infoGauges emits every registered info metric (Profile.SetInfo) in the
-// same constant-1 labeled-gauge convention as gosip_build_info. The I/O
-// engine selection (gosip_io_engine: engine chosen, probe result, kernel
-// ring feature flags) is the first user.
-func infoGauges(w io.Writer, p *Profile) {
-	infos := p.Infos()
-	for _, name := range sortedKeys(infos) {
-		pn := promName(name)
-		fmt.Fprintf(w, "# HELP %s Info metric for %s (value is always 1).\n", pn, name)
-		fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
-		fmt.Fprintf(w, "%s{", pn)
-		for i, kv := range infos[name] {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprintf(w, "%s=%q", kv[0], kv[1])
-		}
-		fmt.Fprintf(w, "} 1\n")
-	}
 }
 
 // Handler serves the profile as Prometheus text at every request.

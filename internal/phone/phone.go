@@ -67,11 +67,6 @@ type Config struct {
 	// schedules stay bounded even when the server advertises multi-second
 	// back-offs. Default 2s.
 	BackoffCap time.Duration
-	// IOEngine selects the UDP socket's I/O engine (see transport.IOEngine).
-	// Empty keeps the batch default; uring puts the generator's own ingress
-	// on completion rings so client-side syscall pressure doesn't cap the
-	// load it can offer.
-	IOEngine transport.IOEngine
 }
 
 func (c Config) withDefaults() Config {

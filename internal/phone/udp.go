@@ -38,7 +38,6 @@ const phoneBatch = 4
 func newUDPEndpoint(cfg Config) (*udpEndpoint, error) {
 	sock, err := transport.ListenUDPOptions("127.0.0.1:0", transport.UDPOptions{
 		BatchSize: phoneBatch,
-		Engine:    cfg.IOEngine,
 	})
 	if err != nil {
 		return nil, err

@@ -18,6 +18,7 @@ package proxy
 
 import (
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"time"
@@ -242,7 +243,7 @@ func (e *Engine) handleRequest(s Sender, m *sipmsg.Message, origin any) {
 		if e.cfg.Stateful {
 			e.forwardStateful(s, m, origin)
 		} else {
-			e.forwardStateless(s, m)
+			e.forwardStateless(s, m, origin)
 		}
 	default:
 		e.reply(s, m, origin, sipmsg.StatusNotImplemented)
@@ -269,7 +270,8 @@ func (e *Engine) handleAck(s Sender, m *sipmsg.Message) {
 			}
 		}
 	}
-	e.forwardStateless(s, m)
+	// An ACK draws no response, so nothing needs routing back to its origin.
+	e.forwardStateless(s, m, nil)
 }
 
 // redirect answers a request with 302 Moved Temporarily and the registered
@@ -686,7 +688,9 @@ func (e *Engine) localFinal(req *sipmsg.Message, code int) *sipmsg.Message {
 
 // forwardStateless forwards a request with no transaction state: the
 // caller retains responsibility for reliability (§2's stateless proxy).
-func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
+// origin is where the request arrived from, or nil when no response will
+// need to find its way back there.
+func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message, origin any) {
 	// The proxy's involvement ends when the forward leaves (or is dropped):
 	// finish the timeline unconditionally. Status 0 = no local response.
 	tc := trace.Of(m)
@@ -703,9 +707,69 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
 		return
 	}
 	fwd, _ := e.forwardCopy(m, maxForwards, false)
+	if origin != nil && e.cfg.ViaTransport != "UDP" {
+		stampReceived(fwd, origin)
+	}
 	if err := e.sendToBinding(s, binding, fwd); err != nil {
 		e.drops.Inc()
 	}
+}
+
+// stampReceived records the remote address of the stream connection a
+// request arrived on as received/rport parameters of the upstream Via — the
+// one below the Via this proxy just pushed (RFC 3261 §18.2.1, RFC 3581).
+// A stateless proxy keeps no other memory of that connection, and §18.2.2
+// sends a response over a reliable transport back on the connection its
+// request came in on, which a caller's Via sent-by (typically its listener)
+// does not name. The stream servers key connections by remote address, so
+// relaying to received:rport finds the caller's open connection.
+func stampReceived(fwd *sipmsg.Message, origin any) {
+	src, ok := origin.(fmt.Stringer)
+	if !ok {
+		return
+	}
+	host, port, err := net.SplitHostPort(src.String())
+	if err != nil {
+		return
+	}
+	ours := true
+	for i := range fwd.Headers {
+		h := &fwd.Headers[i]
+		if h.Name != "Via" {
+			continue
+		}
+		if ours {
+			ours = false
+			continue
+		}
+		v, err := sipmsg.ParseVia(h.Value)
+		if err != nil {
+			return
+		}
+		if v.Params == nil {
+			v.Params = make(map[string]string, 2)
+		}
+		v.Params["received"] = host
+		v.Params["rport"] = port
+		h.Value = v.String()
+		fwd.Invalidate()
+		return
+	}
+}
+
+// responseTarget is where a stateless proxy relays a response whose next
+// Via is v: received:rport when an earlier hop stamped them (rport falling
+// back to the sent-by port), else the sent-by itself.
+func responseTarget(v sipmsg.Via) string {
+	host := v.Params["received"]
+	if host == "" {
+		return v.SentBy()
+	}
+	port := v.Params["rport"]
+	if port == "" {
+		_, port, _ = net.SplitHostPort(v.SentBy())
+	}
+	return net.JoinHostPort(host, port)
 }
 
 // handleResponse pops our Via and forwards the response upstream — or
@@ -726,14 +790,14 @@ func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 	}
 
 	if !e.cfg.Stateful || e.txns == nil {
-		// Stateless: relay toward the next Via's sent-by.
+		// Stateless: relay toward the next Via.
 		fwd := m.CloneWithoutTopVia() // non-nil: TopViaBranch found a Via
 		next, err := fwd.TopVia()
 		if err != nil {
 			e.drops.Inc()
 			return
 		}
-		if err := e.sendToAddr(s, next.Transport, next.SentBy(), fwd); err != nil {
+		if err := e.sendToAddr(s, next.Transport, responseTarget(next), fwd); err != nil {
 			e.drops.Inc()
 		}
 		return

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -325,29 +326,58 @@ func TestReliableTransportNeverRetransmits(t *testing.T) {
 	}
 }
 
+// TestStatelessForwarding: no Trying, no transaction, and the response
+// relays toward the caller. Over UDP that is the caller's Via sent-by and
+// the Via travels on byte for byte. Over a stream transport the sent-by
+// names the caller's listener, not the connection it sent on, so the
+// forward stamps the connection's address on that Via as received/rport and
+// the response goes there.
 func TestStatelessForwarding(t *testing.T) {
-	v := newEnv(t, false, false)
-	v.registerUser(1, "10.0.0.2", 5072)
-	s := &fakeSender{}
-	v.engine.Handle(s, invite(0, 1), "o")
-	// No Trying in stateless mode.
-	if len(s.originMsgs()) != 0 {
-		t.Errorf("stateless proxy sent %d responses", len(s.originMsgs()))
-	}
-	addrs := s.addrMsgs()
-	if len(addrs) != 1 {
-		t.Fatalf("forwarded %d", len(addrs))
-	}
-	// A response relays toward the next Via hop.
-	resp := sipmsg.NewResponse(addrs[0].msg, sipmsg.StatusOK, "g")
-	v.engine.Handle(s, resp, nil)
-	addrs = s.addrMsgs()
-	relayed := addrs[len(addrs)-1]
-	if relayed.hostport != "10.0.0.1:5071" {
-		t.Errorf("stateless response relayed to %q, want the caller Via sent-by", relayed.hostport)
-	}
-	if v.txns.Len() != 0 {
-		t.Error("stateless proxy created transactions")
+	for _, tc := range []struct {
+		transport  string
+		origin     any
+		wantTarget string
+	}{
+		{"UDP", &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 5071}, "10.0.0.1:5071"},
+		{"TCP", &net.TCPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 40001}, "10.0.0.1:40001"},
+	} {
+		t.Run(tc.transport, func(t *testing.T) {
+			v := newEnv(t, false, tc.transport != "UDP")
+			v.engine.cfg.ViaTransport = tc.transport
+			v.registerUser(1, "10.0.0.2", 5072)
+			s := &fakeSender{}
+			req := invite(0, 1)
+			callerVia, _ := req.Get("Via")
+			v.engine.Handle(s, req, tc.origin)
+			if len(s.originMsgs()) != 0 {
+				t.Errorf("stateless proxy sent %d responses", len(s.originMsgs()))
+			}
+			addrs := s.addrMsgs()
+			if len(addrs) != 1 {
+				t.Fatalf("forwarded %d", len(addrs))
+			}
+			fwdVia := addrs[0].msg.GetAll("Via")[1]
+			if tc.transport == "UDP" {
+				if fwdVia != callerVia {
+					t.Errorf("caller Via forwarded as %q, want %q", fwdVia, callerVia)
+				}
+			} else if via, err := sipmsg.ParseVia(fwdVia); err != nil ||
+				via.Params["received"] != "10.0.0.1" || via.Params["rport"] != "40001" || via.SentBy() != "10.0.0.1:5071" {
+				t.Errorf("caller Via forwarded as %q (%v)", fwdVia, err)
+			}
+			resp := sipmsg.NewResponse(addrs[0].msg, sipmsg.StatusOK, "g")
+			v.engine.Handle(s, resp, nil)
+			addrs = s.addrMsgs()
+			if got := addrs[len(addrs)-1].hostport; got != tc.wantTarget {
+				t.Errorf("stateless response relayed to %q, want %q", got, tc.wantTarget)
+			}
+			if v.txns.Len() != 0 {
+				t.Error("stateless proxy created transactions")
+			}
+			if got := v.prof.Counter("proxy.drops").Value(); got != 0 {
+				t.Errorf("proxy.drops = %d", got)
+			}
+		})
 	}
 }
 

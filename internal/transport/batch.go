@@ -25,7 +25,6 @@ type Datagram struct {
 type BatchReader struct {
 	pkts []Packet
 	bufs [][]byte
-	bids []uint16 // uring ingress buffers loaned to the caller, returned next call
 	sys  batchReaderOS
 }
 
@@ -59,9 +58,6 @@ func (br *BatchReader) Packets() []Packet { return br.pkts }
 // single-packet read, returning 1. Deadlines set via SetReadDeadline and
 // Close both unblock it, exactly like ReadPacket.
 func (s *UDPSocket) ReadBatch(br *BatchReader) (int, error) {
-	if s.uring != nil {
-		return s.uring.readBatch(br)
-	}
 	if s.mmsg {
 		n, err := s.readBatchMmsg(br)
 		if err != nil {
@@ -110,9 +106,6 @@ func (s *UDPSocket) NewBatchWriter(n int) *BatchWriter {
 // from where the kernel stopped); elsewhere it loops over single sends.
 // The datagrams' Data is not retained past the call.
 func (s *UDPSocket) WriteBatch(bw *BatchWriter, dgs []Datagram) error {
-	if s.uring != nil {
-		return s.uring.writeBatch(dgs)
-	}
 	for len(dgs) > 0 {
 		chunk := dgs
 		if len(chunk) > bw.cap {

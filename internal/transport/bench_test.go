@@ -116,9 +116,15 @@ func benchStreamWrite(b *testing.B, coalesce bool) {
 	peer := <-accepted
 	defer peer.Close()
 	go io.Copy(io.Discard, peer)
+	benchContendedWrites(b, client, coalesce)
+}
 
+// benchContendedWrites wraps nc in an instrumented StreamConn and has eight
+// parallel writers per GOMAXPROCS push a response-sized payload through it,
+// reporting write calls per message as syscalls/op.
+func benchContendedWrites(b *testing.B, nc net.Conn, coalesce bool) {
 	prof := metrics.NewProfile()
-	sc := NewStreamConn(client)
+	sc := NewStreamConn(nc)
 	sc.InstrumentWrites(prof.Counter(metrics.MetricTCPWriteCalls), prof.Counter(metrics.MetricTCPWriteMsgs))
 	if coalesce {
 		sc.EnableCoalesce()
@@ -144,6 +150,42 @@ func benchStreamWrite(b *testing.B, coalesce bool) {
 
 func BenchmarkStreamWriteContended(b *testing.B)          { benchStreamWrite(b, false) }
 func BenchmarkStreamWriteContendedCoalesced(b *testing.B) { benchStreamWrite(b, true) }
+
+// benchTLSStreamWrite is benchStreamWrite with the TLS layer in place:
+// the same contended-send shape, measured above crypto/tls, so the
+// syscalls/op column lines up with the plain-TCP benchmarks. Coalescing
+// matters more here — every write call that is saved also saves a TLS
+// record seal.
+func benchTLSStreamWrite(b *testing.B, coalesce bool) {
+	srvCtx, cliCtx := newTLSPair(b, TLSOptions{}, TLSOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		tc := srvCtx.Server(nc)
+		io.Copy(io.Discard, tc)
+		tc.Close()
+	}()
+	nc, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := cliCtx.Client(nc, ln.Addr().String())
+	if err := client.Handshake(); err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	benchContendedWrites(b, client, coalesce)
+}
+
+func BenchmarkTLSStreamWriteContended(b *testing.B)          { benchTLSStreamWrite(b, false) }
+func BenchmarkTLSStreamWriteContendedCoalesced(b *testing.B) { benchTLSStreamWrite(b, true) }
 
 // BenchmarkEgressEnqueue is the proxy's batched send path: enqueue into
 // the worker egress and drain, as one receive batch's worth of responses

@@ -49,9 +49,6 @@ type Packet struct {
 	// buf is the pool slot backing Data for single-packet reads; nil for
 	// packets produced by a BatchReader, which owns its buffers.
 	buf *[]byte
-	// ubid is 1 + the uring ingress buffer id backing Data, or 0 when Data
-	// is not a registered-ring slice. Release hands the buffer back.
-	ubid uint32
 }
 
 // UDPOptions tunes a UDP SIP socket beyond the paper-faithful defaults.
@@ -73,22 +70,6 @@ type UDPOptions struct {
 	// Profile receives the socket's syscall/occupancy instrumentation.
 	// Nil is valid: counters become no-ops.
 	Profile *metrics.Profile
-
-	// Engine selects the I/O submission model ("" = EngineBatch, which
-	// preserves the default behaviour — batching stays opt-in per call).
-	// EngineUring arms an io_uring attachment when the runtime probe allows
-	// it and degrades to the batch engine otherwise; EnginePortable pins
-	// one blocking syscall per operation even where mmsg is available.
-	Engine IOEngine
-	// UringRing overrides the submission-queue depth (0 = scale from
-	// BatchSize, clamped to [64, 1024]).
-	UringRing int
-	// UringBufs overrides the ingress buffer-ring population (0 = scale
-	// from BatchSize, clamped to [64, 2048]; rounded up to a power of two).
-	UringBufs int
-	// UringBufSize overrides the ingress buffer size in bytes (0 = 4096).
-	// Datagrams larger than a buffer are truncated and counted.
-	UringBufSize int
 }
 
 // UDPSocket wraps a net.UDPConn for SIP use. ReadPacket may be called from
@@ -96,11 +77,10 @@ type UDPOptions struct {
 // blocked reader, which is precisely how OpenSER's symmetric UDP worker
 // processes share a socket.
 type UDPSocket struct {
-	conn  *net.UDPConn
-	rc    syscall.RawConn
-	mmsg  bool            // recvmmsg/sendmmsg fast path armed
-	is6   bool            // socket bound to an IPv6 address
-	uring uringAttachment // completion-driven engine, nil unless armed
+	conn *net.UDPConn
+	rc   syscall.RawConn
+	mmsg bool // recvmmsg/sendmmsg fast path armed
+	is6  bool // socket bound to an IPv6 address
 
 	bufPool sync.Pool // of *[]byte, each MaxDatagram long
 
@@ -158,8 +138,7 @@ func ListenUDPOptions(addr string, o UDPOptions) (*UDPSocket, error) {
 		return &b
 	}
 	s.is6 = s.LocalAddr().IP.To4() == nil
-	portable := o.ForceGeneric || o.Engine == EnginePortable
-	if o.BatchSize > 1 && mmsgAvailable && !portable {
+	if o.BatchSize > 1 && mmsgAvailable && !o.ForceGeneric {
 		rc, err := c.SyscallConn()
 		if err != nil {
 			c.Close()
@@ -177,26 +156,7 @@ func ListenUDPOptions(addr string, o UDPOptions) (*UDPSocket, error) {
 		s.recvOcc = p.Histogram(metrics.HistRecvBatch)
 		s.sendOcc = p.Histogram(metrics.HistSendBatch)
 	}
-	if o.Engine == EngineUring && !portable {
-		u, err := armUring(s, o)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("transport: arm io_uring: %w", err)
-		}
-		s.uring = u // nil when the probe denied: batch/portable fallback
-	}
 	return s, nil
-}
-
-// uringAttachment is the per-socket half of the io_uring engine; the
-// concrete type lives behind the linux build tag.
-type uringAttachment interface {
-	readBatch(br *BatchReader) (int, error)
-	readPacket() (Packet, error)
-	writeBatch(dgs []Datagram) error
-	releaseBid(bid uint16)
-	setDeadline(t time.Time)
-	close()
 }
 
 // MmsgActive reports whether the recvmmsg/sendmmsg fast path is armed.
@@ -217,9 +177,6 @@ func (s *UDPSocket) LocalAddr() *net.UDPAddr { return s.conn.LocalAddr().(*net.U
 // ReadPacket blocks for the next datagram. The returned Packet owns its
 // buffer; call Release when done to recycle it.
 func (s *UDPSocket) ReadPacket() (Packet, error) {
-	if s.uring != nil {
-		return s.uring.readPacket()
-	}
 	bp := s.bufPool.Get().(*[]byte)
 	n, src, err := s.conn.ReadFromUDP(*bp)
 	if err != nil {
@@ -237,12 +194,6 @@ func (s *UDPSocket) ReadPacket() (Packet, error) {
 // counted as dropped rather than silently discarded; packets from a
 // BatchReader carry no pool buffer and are a no-op.
 func (s *UDPSocket) Release(p Packet) {
-	if p.ubid != 0 {
-		if s.uring != nil {
-			s.uring.releaseBid(uint16(p.ubid - 1))
-		}
-		return
-	}
 	if p.buf != nil {
 		if cap(*p.buf) == MaxDatagram {
 			s.bufPool.Put(p.buf)
@@ -283,19 +234,11 @@ func udpAddrPort(a *net.UDPAddr) netip.AddrPort {
 // the bound. Synchronous clients (the phone simulator) use this for
 // retransmission timeouts.
 func (s *UDPSocket) SetReadDeadline(t time.Time) error {
-	if s.uring != nil {
-		s.uring.setDeadline(t)
-	}
 	return s.conn.SetReadDeadline(t)
 }
 
 // Close closes the socket, unblocking all readers.
-func (s *UDPSocket) Close() error {
-	if s.uring != nil {
-		s.uring.close()
-	}
-	return s.conn.Close()
-}
+func (s *UDPSocket) Close() error { return s.conn.Close() }
 
 // StreamConn wraps a TCP connection with SIP message framing on the read
 // side and a mutex on the write side. The read side must only be used by
