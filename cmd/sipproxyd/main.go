@@ -60,7 +60,7 @@ func main() {
 	var (
 		arch         = flag.String("arch", "tcp", "architecture: udp, tcp, threaded, sctpsim")
 		addr         = flag.String("addr", "127.0.0.1:5060", "listen address")
-		workers      = flag.Int("workers", 0, "worker count (0 = architecture default)")
+		workers      = flag.Int("workers", 0, "worker count (0 = architecture default); with -arch udp also the socket count, one SO_REUSEPORT socket per worker")
 		stateless    = flag.Bool("stateless", false, "run as a stateless proxy")
 		redirect     = flag.Bool("redirect", false, "run as a redirection server (302) instead of proxying")
 		auth         = flag.Bool("auth", false, "enable digest authentication (401/407 challenges)")
@@ -82,12 +82,11 @@ func main() {
 		olTarget     = flag.Float64("overload-target", 0, "occupancy policy: target worker busy fraction (0 = 0.85)")
 		retryAfter   = flag.Duration("retry-after", 0, "base Retry-After advertised on 503 rejections (0 = 1s)")
 		udpBatch     = flag.Int("udp-batch", 0, "datagrams per recvmmsg/sendmmsg call (0/1 = unbatched baseline)")
-		udpShard     = flag.Int("udp-shard", 0, "SO_REUSEPORT UDP sockets to shard across (0/1 = one shared socket)")
 		udpLinger    = flag.Duration("udp-linger", 0, "egress batch flush deadline (0 = default; needs -udp-batch > 1)")
 		tcpCoalesce  = flag.Bool("tcp-coalesce", false, "coalesce contended TCP sends into one writev (group commit)")
 		soRcvbuf     = flag.Int("so-rcvbuf", 0, "requested SO_RCVBUF for proxy sockets (0 = kernel default)")
 		soSndbuf     = flag.Int("so-sndbuf", 0, "requested SO_SNDBUF for proxy sockets (0 = kernel default)")
-		timerImpl    = flag.String("timer-impl", "heap", "timer data structure: heap (paper-faithful) or wheel (sharded timing wheel)")
+		timerImpl    = flag.String("timer-impl", "wheel", "timer data structure: wheel (sharded timing wheel) or heap (paper-faithful binary heap)")
 		timerShards  = flag.Int("timer-shards", 0, "timing-wheel shard count (0 = GOMAXPROCS; heap ignores this)")
 		txnShards    = flag.Int("txn-shards", 0, "transaction-table shards, rounded to a power of two (0 = max(16, 4x GOMAXPROCS))")
 		txnT1        = flag.Duration("t1", 0, "RFC 3261 T1 round-trip estimate: base retransmit interval for Timers A/E/G (0 = 500ms)")
@@ -157,7 +156,6 @@ func main() {
 		SupervisorPenalty: *penalty,
 		IPCTimeout:        *ipcTimeout,
 		UDPBatch:          *udpBatch,
-		UDPShards:         *udpShard,
 		EgressLinger:      *udpLinger,
 		TCPCoalesce:       *tcpCoalesce,
 		SoRcvBuf:          *soRcvbuf,
@@ -245,11 +243,13 @@ func main() {
 		}
 		fmt.Printf("sipproxyd: TLS: cert=%s resume=%v ticket-rotate=%v\n", src, *tlsResume, *tlsRotate)
 	}
-	if *udpBatch > 1 || *udpShard > 1 || *tcpCoalesce {
-		fmt.Printf("sipproxyd: batched I/O: udp-batch=%d udp-shard=%d tcp-coalesce=%v\n",
-			*udpBatch, *udpShard, *tcpCoalesce)
+	if us, ok := srv.(interface{ ShardCount() int }); ok {
+		fmt.Printf("sipproxyd: udp: %d sockets on %s, udp-batch=%d\n", us.ShardCount(), srv.Addr(), *udpBatch)
 	}
-	if *timerImpl != "heap" || *timerShards > 0 || *txnShards > 0 || *dispatch != "rr" {
+	if *tcpCoalesce {
+		fmt.Println("sipproxyd: tcp-coalesce on")
+	}
+	if *timerImpl != "wheel" || *timerShards > 0 || *txnShards > 0 || *dispatch != "rr" {
 		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d dispatch=%s\n",
 			*timerImpl, *timerShards, *txnShards, *dispatch)
 	}

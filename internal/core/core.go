@@ -1,8 +1,9 @@
 // Package core assembles the paper's server architectures around the proxy
 // engine (Ram et al. §3):
 //
-//   - UDPServer (§3.2): N symmetric workers concurrently receiving from one
-//     shared UDP socket; no connection state; a timer process drives
+//   - UDPServer (§3.2): N symmetric workers, each receiving from its own
+//     SO_REUSEPORT socket on the listen port while the kernel picks the
+//     worker per datagram; no connection state; a timer process drives
 //     retransmission.
 //   - TCPServer (§3.1): a single supervisor goroutine that accepts all
 //     connections, assigns ownership to workers, answers blocking fd
@@ -71,7 +72,9 @@ type Config struct {
 	// Addr is the listen address, e.g. "127.0.0.1:0".
 	Addr string
 	// Workers is the worker count. The paper used 24 for UDP and 32 for
-	// TCP; defaults follow suit scaled by DefaultWorkers.
+	// TCP; defaults follow suit scaled by DefaultWorkers. On the datagram
+	// architectures it is also the socket count: one socket per worker
+	// where SO_REUSEPORT is available, one shared socket elsewhere.
 	Workers int
 	// Stateful selects the stateful proxy configuration (the paper's).
 	Stateful bool
@@ -130,11 +133,6 @@ type Config struct {
 	// this many datagrams per recvmmsg call and queues its responses into a
 	// per-worker egress batch drained by sendmmsg.
 	UDPBatch int
-	// UDPShards > 1 binds that many SO_REUSEPORT sockets to the listen
-	// address and spreads the workers across them, so the kernel — not a
-	// shared fd — load-balances datagrams between workers. Clamped to the
-	// worker count (a shard with no reader would blackhole its hash bucket).
-	UDPShards int
 	// EgressLinger bounds how long a partially filled egress batch may wait
 	// before flushing (0 = transport.DefaultEgressLinger). Only meaningful
 	// with UDPBatch > 1.
@@ -169,9 +167,10 @@ type Config struct {
 
 	// TimerInterval is the timer process's check period.
 	TimerInterval time.Duration
-	// TimerImpl selects the timer data structure: timerlist.ImplHeap (the
-	// paper-faithful binary heap, the default) or timerlist.ImplWheel (the
-	// sharded hierarchical timing wheel with O(1) schedule and cancel).
+	// TimerImpl selects the timer data structure: timerlist.ImplWheel (the
+	// sharded hierarchical timing wheel with O(1) schedule and cancel, the
+	// default) or timerlist.ImplHeap (the paper-faithful binary heap, which
+	// keeps cancelled timers resident until their deadline).
 	TimerImpl timerlist.Impl
 	// TimerShards is the wheel's shard count (0 = GOMAXPROCS); ignored by
 	// the heap, which is inherently single-lock.
@@ -282,16 +281,13 @@ func (c Config) withDefaults() Config {
 		c.TimerInterval = 100 * time.Millisecond
 	}
 	if c.TimerImpl == "" {
-		c.TimerImpl = timerlist.ImplHeap
+		c.TimerImpl = timerlist.ImplWheel
 	}
 	if c.Dispatch == "" {
 		c.Dispatch = DispatchRR
 	}
 	if c.LocSweepInterval <= 0 {
 		c.LocSweepInterval = time.Second
-	}
-	if c.UDPShards > c.Workers {
-		c.UDPShards = c.Workers
 	}
 	if c.Profile == nil {
 		c.Profile = metrics.NewProfile()
@@ -400,7 +396,7 @@ func newSubstrate(cfg Config) (*substrate, error) {
 		}
 	}
 	// TimerImpl was validated in New; a zero Config (tests construct
-	// substrates directly) falls back to the heap inside NewScheduler.
+	// substrates directly) falls back to the wheel inside NewScheduler.
 	timers, err := timerlist.NewScheduler(cfg.TimerImpl, timerlist.Options{
 		Interval: cfg.TimerInterval,
 		Shards:   cfg.TimerShards,

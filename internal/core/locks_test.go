@@ -51,11 +51,30 @@ func TestThreadedAffinityPinsPeers(t *testing.T) {
 	}
 }
 
-// TestWheelTimerEndToEnd swaps the timer wheel in under the UDP
-// architecture with downstream loss, so the proxy's Timer A/B cycle — the
-// schedule/cancel churn the wheel exists to make cheap — runs against the
-// wheel in a full end-to-end call flow.
+// TestWheelTimerEndToEnd runs the UDP architecture on its default timer,
+// the wheel, with downstream loss, so the proxy's Timer A/B cycle — the
+// schedule/cancel churn the wheel exists to make cheap — runs in a full
+// end-to-end call flow.
 func TestWheelTimerEndToEnd(t *testing.T) {
+	srv := startLossyTimerServer(t, "")
+	if _, ok := srv.Timers().(*timerlist.Wheel); !ok {
+		t.Fatalf("default Timers() = %T, want *timerlist.Wheel", srv.Timers())
+	}
+	checkLossyTimerLoad(t, srv)
+}
+
+// TestHeapTimerEndToEnd is the same flow on the paper-faithful heap, still
+// selectable for the -fig locks baseline.
+func TestHeapTimerEndToEnd(t *testing.T) {
+	srv := startLossyTimerServer(t, timerlist.ImplHeap)
+	if _, ok := srv.Timers().(*timerlist.List); !ok {
+		t.Fatalf("Timers() = %T, want *timerlist.List", srv.Timers())
+	}
+	checkLossyTimerLoad(t, srv)
+}
+
+func startLossyTimerServer(t *testing.T, impl timerlist.Impl) Server {
+	t.Helper()
 	srv, err := New(Config{
 		Arch:          ArchUDP,
 		Workers:       4,
@@ -64,28 +83,28 @@ func TestWheelTimerEndToEnd(t *testing.T) {
 		Faults:        FaultConfig{DropTx: 0.25, Seed: 11},
 		Txn:           transaction.Config{T1: 40 * time.Millisecond, TimerB: 5 * time.Second, Linger: 200 * time.Millisecond},
 		TimerInterval: 10 * time.Millisecond,
-		TimerImpl:     timerlist.ImplWheel,
+		TimerImpl:     impl,
 		TimerShards:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	srv.DB().ProvisionN(8, testDomain)
+	return srv
+}
 
-	if _, ok := srv.Timers().(*timerlist.Wheel); !ok {
-		t.Fatalf("Timers() = %T, want *timerlist.Wheel", srv.Timers())
-	}
+func checkLossyTimerLoad(t *testing.T, srv Server) {
+	t.Helper()
 	res := runLossyLoad(t, srv, 2, 8)
 	if res.CallsFailed != 0 {
-		t.Errorf("%d calls failed under downstream loss with the wheel", res.CallsFailed)
+		t.Errorf("%d calls failed under downstream loss", res.CallsFailed)
 	}
 	if got := srv.Profile().Counter(metrics.MetricRetransmits).Value(); got == 0 {
 		t.Error("proxy never retransmitted despite downstream loss")
 	}
-	scheduled, _ := srv.Timers().Stats()
-	if scheduled == 0 {
-		t.Error("wheel scheduled no timers")
+	if scheduled, _ := srv.Timers().Stats(); scheduled == 0 {
+		t.Error("no timers scheduled")
 	}
 }
 

@@ -17,22 +17,20 @@ import (
 )
 
 // udpServer is the §3.2 architecture: all worker goroutines are symmetric,
-// each looping receive → process → forward. The kernel delivers each
-// datagram to exactly one blocked reader, and sends need no coordination
+// each looping receive → process → forward, and sends need no coordination
 // because UDP writes are message-atomic.
 //
-// Two opt-in departures from the paper's configuration live here:
+// Each worker owns one socket of a SO_REUSEPORT group bound to the listen
+// address, so the kernel picks the worker for every datagram — hashing its
+// source 4-tuple, which keeps one peer's datagrams on one worker and in
+// order — and no two workers ever queue on one descriptor's lock. Where
+// SO_REUSEPORT is unavailable the workers share a single socket.
 //
-//   - With UDPShards > 1 the workers spread across several SO_REUSEPORT
-//     sockets bound to one port, so the kernel hashes arrivals between
-//     sockets instead of waking competing readers on one fd.
-//   - With UDPBatch > 1 each worker receives a batch per recvmmsg call and
-//     queues its responses into a per-worker egress buffer flushed by
-//     sendmmsg when the worker finishes the batch — batch in, one syscall
-//     out. Timer-driven retransmissions ride a dedicated egress whose
-//     microsecond linger is its only flush trigger.
-//
-// Both default off, leaving the one-syscall-per-message baseline intact.
+// With UDPBatch > 1 each worker receives a batch per recvmmsg call and
+// queues its responses into a per-worker egress buffer flushed by sendmmsg
+// when the worker finishes the batch — batch in, one syscall out.
+// Timer-driven retransmissions ride a dedicated egress whose microsecond
+// linger is its only flush trigger. The default is one syscall per message.
 type udpServer struct {
 	sub      *substrate
 	socks    []*transport.UDPSocket
@@ -45,8 +43,8 @@ type udpServer struct {
 }
 
 // resolveCache memoizes hostport → UDP address resolution. One cache is
-// shared by every sender of a server regardless of sharding, so the hit
-// rate is unaffected by which worker handles a message.
+// shared by every sender of a server, so the hit rate is unaffected by
+// which worker handles a message.
 type resolveCache struct {
 	mu    sync.RWMutex
 	addrs map[string]*net.UDPAddr
@@ -96,7 +94,7 @@ func (rc *resolveCache) resolve(hostport string) (*net.UDPAddr, error) {
 }
 
 // udpSender implements proxy.Sender for one worker (or the timer process):
-// it is bound to that worker's shard socket and, when batching is on, to
+// it is bound to that worker's socket and, when batching is on, to
 // its egress queue. Without an egress it is safe for use from any
 // goroutine; with one it is still safe (the egress serializes internally),
 // but each worker owning its own keeps batches coherent per worker.
@@ -153,42 +151,18 @@ func newUDPServer(cfg Config) (Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	nShards := cfg.UDPShards
-	if nShards < 1 {
-		nShards = 1
-	}
-	opts := transport.UDPOptions{
+	socks, err := transport.ListenUDPGroup(cfg.Addr, cfg.Workers, transport.UDPOptions{
 		BatchSize: cfg.UDPBatch,
-		ReusePort: nShards > 1,
 		RcvBuf:    cfg.SoRcvBuf,
 		SndBuf:    cfg.SoSndBuf,
 		Profile:   sub.prof,
-	}
-	closeAll := func(socks []*transport.UDPSocket) {
-		for _, s := range socks {
-			s.Close()
-		}
-	}
-	var socks []*transport.UDPSocket
-	first, err := transport.ListenUDPOptions(cfg.Addr, opts)
+	})
 	if err != nil {
 		sub.close()
 		return nil, err
 	}
-	socks = append(socks, first)
-	// The remaining shards bind the port the first socket resolved; the
-	// kernel hashes datagrams between them by source 4-tuple.
-	for i := 1; i < nShards; i++ {
-		s, err := transport.ListenUDPOptions(first.LocalAddr().String(), opts)
-		if err != nil {
-			closeAll(socks)
-			sub.close()
-			return nil, err
-		}
-		socks = append(socks, s)
-	}
 
-	local := first.LocalAddr()
+	local := socks[0].LocalAddr()
 	engine := proxy.NewEngine(sub.engineConfig(transport.UDP, local.IP.String(), local.Port), sub.loc, sub.db, sub.txns, sub.prof)
 	faults := newFaultGate(cfg.Faults)
 	cache := newResolveCache(sub.prof)
@@ -203,7 +177,7 @@ func newUDPServer(cfg Config) (Server, error) {
 	}
 
 	// The timer process sends retransmissions from outside any worker loop.
-	// It shares the first shard's socket; with batching on it gets its own
+	// It shares the first worker's socket; with batching on it gets its own
 	// egress, whose linger deadline is the only thing that flushes it.
 	timerSender := &udpSender{sock: socks[0], faults: faults, cache: cache}
 	if batching {
@@ -214,7 +188,7 @@ func newUDPServer(cfg Config) (Server, error) {
 	engine.SetTimerSender(timerSender)
 
 	for i := 0; i < cfg.Workers; i++ {
-		sock := socks[i%nShards]
+		sock := socks[i%len(socks)]
 		sender := &udpSender{sock: sock, faults: faults, cache: cache}
 		srv.wg.Add(1)
 		if batching {
@@ -316,8 +290,8 @@ func (s *udpServer) DB() *userdb.DB              { return s.sub.db }
 func (s *udpServer) Timers() timerlist.Scheduler { return s.sub.timers }
 func (s *udpServer) Tracer() *trace.Recorder     { return s.sub.rec }
 
-// BufferSizes reports the effective socket buffer sizes of the first shard
-// (all shards are configured identically). Exposed for startup logging via
+// BufferSizes reports the effective socket buffer sizes of the first socket
+// (all are configured identically). Exposed for startup logging via
 // type assertion.
 func (s *udpServer) BufferSizes() (rcv, snd int) { return s.socks[0].BufferSizes() }
 

@@ -29,9 +29,6 @@ type BatchingScale struct {
 	Workers int
 	// Batches are the UDP recvmmsg/sendmmsg budgets to sweep.
 	Batches []int
-	// Shards is the SO_REUSEPORT socket count for the sharded variants
-	// (clamped to Workers by the server).
-	Shards int
 	// Reps runs each cell this many times and keeps the median-throughput
 	// run. Single-digit-second cells on a shared host are dominated by
 	// scheduling noise; the median is stable where a single run is not.
@@ -54,7 +51,6 @@ func DefaultBatchingScale() BatchingScale {
 		CallsPerCaller: 50,
 		Workers:        4,
 		Batches:        []int{8, 32},
-		Shards:         4,
 		Reps:           5,
 		RcvBuf:         32 << 10,
 	}
@@ -66,13 +62,12 @@ type BatchingVariant struct {
 	Arch      core.Architecture
 	Transport transport.Kind
 	UDPBatch  int
-	UDPShards int
 	Coalesce  bool
 }
 
 // variants builds the sweep rows: the UDP baseline against each batch
-// size, sharding alone, and batching+sharding combined; then TCP and
-// threaded, each baseline against write coalescing.
+// size (every UDP row runs one socket per worker), then TCP and threaded,
+// each baseline against write coalescing.
 func (sc BatchingScale) variants() []BatchingVariant {
 	vs := []BatchingVariant{
 		{Name: "udp/base", Arch: core.ArchUDP, Transport: transport.UDP},
@@ -82,19 +77,6 @@ func (sc BatchingScale) variants() []BatchingVariant {
 			Name: fmt.Sprintf("udp/batch%d", b), Arch: core.ArchUDP,
 			Transport: transport.UDP, UDPBatch: b,
 		})
-	}
-	if sc.Shards > 1 && transport.ReusePortAvailable() {
-		vs = append(vs, BatchingVariant{
-			Name: fmt.Sprintf("udp/shard%d", sc.Shards), Arch: core.ArchUDP,
-			Transport: transport.UDP, UDPShards: sc.Shards,
-		})
-		if len(sc.Batches) > 0 {
-			top := sc.Batches[len(sc.Batches)-1]
-			vs = append(vs, BatchingVariant{
-				Name: fmt.Sprintf("udp/batch%d+shard%d", top, sc.Shards), Arch: core.ArchUDP,
-				Transport: transport.UDP, UDPBatch: top, UDPShards: sc.Shards,
-			})
-		}
 	}
 	vs = append(vs,
 		BatchingVariant{Name: "tcp/base", Arch: core.ArchTCP, Transport: transport.TCP},
@@ -163,9 +145,9 @@ func (r *BatchingReport) Cell(name string, pairs int) *BatchingCell {
 	return nil
 }
 
-// Gain compares the combined batch+shard UDP variant against the UDP
-// baseline at the highest pair count: the ops/s ratio and the factor by
-// which syscalls per operation fell.
+// Gain compares the largest-batch UDP variant against the UDP baseline at
+// the highest pair count: the ops/s ratio and the factor by which syscalls
+// per operation fell.
 func (r *BatchingReport) Gain() (opsRatio, syscallFactor float64) {
 	if len(r.Scale.Pairs) == 0 {
 		return 0, 0
@@ -175,13 +157,10 @@ func (r *BatchingReport) Gain() (opsRatio, syscallFactor float64) {
 	if base == nil {
 		return 0, 0
 	}
-	var best *BatchingCell
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Pairs == top && c.Variant.UDPBatch > 1 && c.Variant.UDPShards > 1 {
-			best = c
-		}
+	if len(r.Scale.Batches) == 0 {
+		return 0, 0
 	}
+	best := r.Cell(fmt.Sprintf("udp/batch%d", r.Scale.Batches[len(r.Scale.Batches)-1]), top)
 	if best == nil {
 		return 0, 0
 	}
@@ -257,7 +236,6 @@ func runBatchingCell(sc BatchingScale, v BatchingVariant, pairs int) (*BatchingC
 		FDCache:     true,
 		ConnMgr:     connmgr.KindPQueue,
 		UDPBatch:    v.UDPBatch,
-		UDPShards:   v.UDPShards,
 		TCPCoalesce: v.Coalesce,
 		SoRcvBuf:    sc.RcvBuf,
 	}
@@ -321,8 +299,8 @@ func (r *BatchingReport) Table() string {
 		b.WriteByte('\n')
 	}
 	if ops, sys := r.Gain(); ops > 0 {
-		fmt.Fprintf(&b, "\nbatch+shard vs baseline at %d pairs: %.2fx ops/s, syscalls/op ÷%.1f\n",
-			r.Scale.Pairs[len(r.Scale.Pairs)-1], ops, sys)
+		fmt.Fprintf(&b, "\nbatch%d vs baseline at %d pairs: %.2fx ops/s, syscalls/op ÷%.1f\n",
+			r.Scale.Batches[len(r.Scale.Batches)-1], r.Scale.Pairs[len(r.Scale.Pairs)-1], ops, sys)
 	}
 	return b.String()
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gosip/internal/sipmsg"
@@ -13,11 +15,15 @@ import (
 
 // udpEndpoint is a phone's UDP side: one socket used for everything.
 // Callers read it synchronously inside request(); callees run an
-// answering loop.
+// answering loop, which from then on is the socket's only reader and hands
+// responses to request() over resps.
 type udpEndpoint struct {
 	cfg   Config
 	sock  *transport.UDPSocket
 	proxy *net.UDPAddr
+
+	looping atomic.Bool // the answering loop owns reads
+	resps   chan *sipmsg.Message
 
 	// bw/dgs batch the callee's multi-response answers (e.g. 180 + 200 for
 	// an INVITE) into one sendmmsg. Only the answering goroutine uses them.
@@ -35,6 +41,11 @@ type udpEndpoint struct {
 // already captures the full grouping.
 const phoneBatch = 4
 
+// respQueue bounds the responses the answering loop holds for request();
+// a callee has at most one request in flight, so a response that finds
+// the queue full is stale and dropped.
+const respQueue = 8
+
 func newUDPEndpoint(cfg Config) (*udpEndpoint, error) {
 	sock, err := transport.ListenUDPOptions("127.0.0.1:0", transport.UDPOptions{
 		BatchSize: phoneBatch,
@@ -49,8 +60,9 @@ func newUDPEndpoint(cfg Config) (*udpEndpoint, error) {
 	}
 	return &udpEndpoint{
 		cfg: cfg, sock: sock, proxy: proxy,
-		bw:   sock.NewBatchWriter(phoneBatch),
-		done: make(chan struct{}),
+		bw:    sock.NewBatchWriter(phoneBatch),
+		resps: make(chan *sipmsg.Message, respQueue),
+		done:  make(chan struct{}),
 	}, nil
 }
 
@@ -136,6 +148,18 @@ func (e *udpEndpoint) requestTo(req *sipmsg.Message, method sipmsg.Method, stats
 }
 
 func (e *udpEndpoint) readResponse(deadline time.Time) (*sipmsg.Message, error) {
+	if e.looping.Load() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		select {
+		case m := <-e.resps:
+			return m, nil
+		case <-timer.C:
+			return nil, os.ErrDeadlineExceeded
+		case <-e.done:
+			return nil, ErrClosed
+		}
+	}
 	for {
 		if err := e.sock.SetReadDeadline(deadline); err != nil {
 			return nil, err
@@ -195,6 +219,7 @@ func (e *udpEndpoint) startAnswering() {
 	if !started {
 		return
 	}
+	e.looping.Store(true)
 	e.answering.Add(1)
 	go func() {
 		defer e.answering.Done()
@@ -249,7 +274,12 @@ func (e *udpEndpoint) startAnswering() {
 				continue
 			}
 			if !m.IsRequest {
-				m.Release()
+				// An answer to this phone's own request (a re-REGISTER).
+				select {
+				case e.resps <- m:
+				default:
+					m.Release()
+				}
 				continue
 			}
 			if m.Method == sipmsg.ACK {
@@ -299,5 +329,13 @@ func (e *udpEndpoint) close() error {
 		err = e.sock.Close()
 	})
 	e.answering.Wait()
-	return err
+	// Responses nobody collected go back to the pool.
+	for {
+		select {
+		case m := <-e.resps:
+			m.Release()
+		default:
+			return err
+		}
+	}
 }

@@ -181,7 +181,7 @@ func NewEngine(cfg Config, loc *location.Service, db *userdb.DB, txns *transacti
 }
 
 // SetTimerSender installs the sender used by retransmission callbacks
-// (typically the UDP server's shared socket, usable from any goroutine).
+// (typically a UDP server socket, usable from any goroutine).
 func (e *Engine) SetTimerSender(s Sender) { e.timerSender = s }
 
 // Config returns the engine configuration.

@@ -244,25 +244,27 @@ func TestWheelConcurrentScheduleCancelCheck(t *testing.T) {
 	}
 }
 
-// TestNewSchedulerSelectsImpl pins the policy plumbing: empty and "heap"
-// give the paper's list, "wheel" gives the wheel, junk errors.
+// TestNewSchedulerSelectsImpl pins the policy plumbing: empty and "wheel"
+// give the wheel, "heap" gives the paper's list, junk errors.
 func TestNewSchedulerSelectsImpl(t *testing.T) {
-	h, err := NewScheduler("", Options{})
+	for _, impl := range []Impl{"", ImplWheel} {
+		wh, err := NewScheduler(impl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := wh.(*Wheel); !ok {
+			t.Errorf("impl %q = %T, want *Wheel", impl, wh)
+		}
+		wh.Close()
+	}
+	h, err := NewScheduler(ImplHeap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := h.(*List); !ok {
-		t.Errorf("empty impl = %T, want *List", h)
+		t.Errorf("heap impl = %T, want *List", h)
 	}
 	h.Close()
-	wh, err := NewScheduler(ImplWheel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := wh.(*Wheel); !ok {
-		t.Errorf("wheel impl = %T, want *Wheel", wh)
-	}
-	wh.Close()
 	if _, err := NewScheduler("calendar", Options{}); err == nil {
 		t.Error("unknown impl did not error")
 	}

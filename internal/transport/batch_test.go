@@ -265,32 +265,32 @@ func TestEgressConcurrent(t *testing.T) {
 	}
 }
 
-// TestReusePortShardDistribution is the satellite shard test: with N
-// REUSEPORT sockets on one port and many distinct client 4-tuples, every
-// shard must see traffic (the kernel hashes source tuples across them).
+// TestReusePortShardDistribution: with a group of N sockets on one port and
+// many distinct client 4-tuples, every socket must see traffic (the kernel
+// hashes source tuples across them), including the first, which joined the
+// group only after its bind.
 func TestReusePortShardDistribution(t *testing.T) {
 	if !reusePortAvailable {
 		t.Skip("SO_REUSEPORT unavailable on this platform")
 	}
 	const shards, clients, per = 4, 64, 4
 	prof := metrics.NewProfile()
-	socks := make([]*UDPSocket, shards)
-	first, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{ReusePort: true, BatchSize: 8, Profile: prof, RcvBuf: 4 << 20})
+	socks, err := ListenUDPGroup("127.0.0.1:0", shards, UDPOptions{BatchSize: 8, Profile: prof, RcvBuf: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	socks[0] = first
-	defer first.Close()
-	port := first.LocalAddr().String()
-	for i := 1; i < shards; i++ {
-		s, err := ListenUDPOptions(port, UDPOptions{ReusePort: true, BatchSize: 8, Profile: prof, RcvBuf: 4 << 20})
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		socks[i] = s
+	if len(socks) != shards {
+		t.Fatalf("ListenUDPGroup returned %d sockets, want %d", len(socks), shards)
+	}
+	for _, s := range socks {
 		defer s.Close()
 	}
-	dst := first.LocalAddr()
+	dst := socks[0].LocalAddr()
+	for i, s := range socks {
+		if got := s.LocalAddr().String(); got != dst.String() {
+			t.Fatalf("socket %d bound %s, socket 0 %s", i, got, dst)
+		}
+	}
 	for c := 0; c < clients; c++ {
 		cli, err := ListenUDP("127.0.0.1:0")
 		if err != nil {
@@ -337,14 +337,19 @@ func TestReusePortShardDistribution(t *testing.T) {
 	}
 }
 
-// TestReusePortRejectedWhereUnavailable pins the error contract so a
-// misconfigured -udp-shard fails loudly instead of silently unsharded.
-func TestReusePortRejectedWhereUnavailable(t *testing.T) {
+// TestUDPGroupSharesOneSocketWithoutReusePort pins the fallback: where
+// SO_REUSEPORT is unavailable every reader shares one socket.
+func TestUDPGroupSharesOneSocketWithoutReusePort(t *testing.T) {
 	if reusePortAvailable {
 		t.Skip("SO_REUSEPORT available here")
 	}
-	if _, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{ReusePort: true}); err == nil {
-		t.Fatal("ReusePort accepted on a platform without SO_REUSEPORT")
+	socks, err := ListenUDPGroup("127.0.0.1:0", 4, UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer socks[0].Close()
+	if len(socks) != 1 {
+		t.Fatalf("ListenUDPGroup returned %d sockets without SO_REUSEPORT, want 1", len(socks))
 	}
 }
 

@@ -8,9 +8,15 @@ import (
 	"syscall"
 )
 
+// reusePortAvailable is false here, so ListenUDPGroup returns one socket
+// and never calls the two functions below.
 const reusePortAvailable = false
 
-func listenReusePort(ua *net.UDPAddr) (*net.UDPConn, error) {
+func setReusePort(*net.UDPConn) error {
+	return fmt.Errorf("transport: SO_REUSEPORT unavailable")
+}
+
+func listenReusePort(*net.UDPAddr) (*net.UDPConn, error) {
 	return nil, fmt.Errorf("transport: SO_REUSEPORT unavailable")
 }
 

@@ -1,21 +1,20 @@
 // Package transport provides the thin network layer under the SIP proxy:
-// a UDP socket that multiple symmetric workers can receive from
-// concurrently (OpenSER's UDP architecture relies on the kernel
-// distributing datagrams among processes blocked in recvfrom), and a
-// framed, write-locked wrapper for TCP stream connections.
+// UDP sockets for symmetric workers (OpenSER's UDP architecture relies on
+// the kernel handing each datagram to exactly one process blocked in
+// recvfrom), and a framed, write-locked wrapper for TCP stream
+// connections.
 //
-// On Linux the UDP socket additionally offers batched receive and send
-// paths (recvmmsg/sendmmsg — see batch.go) and SO_REUSEPORT sharding, so
-// per-datagram syscall cost amortizes across a batch and workers need not
-// contend on one file descriptor. Both are opt-in: the defaults preserve
-// the paper-faithful one-syscall-per-message behaviour bit for bit.
+// ListenUDPGroup binds one SO_REUSEPORT socket per worker on Linux, so the
+// kernel picks the worker and no two goroutines ever queue on one
+// descriptor's lock. The UDP socket additionally offers batched receive
+// and send paths (recvmmsg/sendmmsg — see batch.go), opt-in: by default
+// every datagram costs one syscall, as in the paper.
 package transport
 
 import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -58,10 +57,6 @@ type UDPOptions struct {
 	// per-call datagram budget (Linux recvmmsg/sendmmsg where available,
 	// looped single-packet calls elsewhere).
 	BatchSize int
-	// ReusePort binds with SO_REUSEPORT so several sockets can share one
-	// port and the kernel load-balances datagrams between them. Returns an
-	// error on platforms without the option.
-	ReusePort bool
 	// RcvBuf/SndBuf request SO_RCVBUF/SO_SNDBUF sizes (0 = kernel default).
 	RcvBuf, SndBuf int
 	// ForceGeneric disables the mmsg fast path even where available — the
@@ -73,9 +68,9 @@ type UDPOptions struct {
 }
 
 // UDPSocket wraps a net.UDPConn for SIP use. ReadPacket may be called from
-// many goroutines at once: the kernel hands each datagram to exactly one
-// blocked reader, which is precisely how OpenSER's symmetric UDP worker
-// processes share a socket.
+// many goroutines at once, but they queue on the descriptor's read lock:
+// one parks in the poller while the rest wait their turn. Give each reader
+// its own socket from ListenUDPGroup instead.
 type UDPSocket struct {
 	conn *net.UDPConn
 	rc   syscall.RawConn
@@ -101,34 +96,81 @@ func ListenUDP(addr string) (*UDPSocket, error) {
 
 // ListenUDPOptions opens a UDP SIP socket with explicit tuning.
 func ListenUDPOptions(addr string, o UDPOptions) (*UDPSocket, error) {
+	socks, err := ListenUDPGroup(addr, 1, o)
+	if err != nil {
+		return nil, err
+	}
+	return socks[0], nil
+}
+
+// ListenUDPGroup opens n UDP SIP sockets bound to one address, so each
+// reader can own one: with SO_REUSEPORT the kernel hashes every datagram to
+// one socket by its source 4-tuple, so one peer's datagrams always reach
+// the same socket. Where SO_REUSEPORT is unavailable it returns a single
+// socket, which the readers then share.
+//
+// The first socket binds without the option and sets it only after bind;
+// the rest then join its port. Setting it before the first bind would let
+// an explicit addr join another process's reuseport group instead of
+// failing with EADDRINUSE, and let a ":0" bind land on a port such a group
+// already holds.
+func ListenUDPGroup(addr string, n int, o UDPOptions) ([]*UDPSocket, error) {
 	if o.BatchSize > MaxBatch {
 		return nil, fmt.Errorf("transport: batch size %d exceeds max %d", o.BatchSize, MaxBatch)
 	}
-	if o.ReusePort && !reusePortAvailable {
-		return nil, fmt.Errorf("transport: SO_REUSEPORT is not supported on %s", runtime.GOOS)
+	if n < 1 || !reusePortAvailable {
+		n = 1
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", addr, err)
 	}
-	var c *net.UDPConn
-	if o.ReusePort {
-		c, err = listenReusePort(ua)
-	} else {
-		c, err = net.ListenUDP("udp", ua)
-	}
+	first, err := net.ListenUDP("udp", ua)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen udp %q: %w", addr, err)
 	}
+	conns := []*net.UDPConn{first}
+	closeAll := func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+	if n > 1 {
+		if err := setReusePort(first); err != nil {
+			closeAll()
+			return nil, fmt.Errorf("transport: SO_REUSEPORT on %s: %w", first.LocalAddr(), err)
+		}
+	}
+	for len(conns) < n {
+		c, err := listenReusePort(first.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			closeAll()
+			return nil, fmt.Errorf("transport: listen udp %s (socket %d of %d): %w", first.LocalAddr(), len(conns)+1, n, err)
+		}
+		conns = append(conns, c)
+	}
+	socks := make([]*UDPSocket, 0, n)
+	for _, c := range conns {
+		s, err := newUDPSocket(c, o)
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		socks = append(socks, s)
+	}
+	return socks, nil
+}
+
+// newUDPSocket applies o to a bound connection and wraps it. On error the
+// caller still owns c.
+func newUDPSocket(c *net.UDPConn, o UDPOptions) (*UDPSocket, error) {
 	if o.RcvBuf > 0 {
 		if err := c.SetReadBuffer(o.RcvBuf); err != nil {
-			c.Close()
 			return nil, fmt.Errorf("transport: SO_RCVBUF %d: %w", o.RcvBuf, err)
 		}
 	}
 	if o.SndBuf > 0 {
 		if err := c.SetWriteBuffer(o.SndBuf); err != nil {
-			c.Close()
 			return nil, fmt.Errorf("transport: SO_SNDBUF %d: %w", o.SndBuf, err)
 		}
 	}
@@ -141,7 +183,6 @@ func ListenUDPOptions(addr string, o UDPOptions) (*UDPSocket, error) {
 	if o.BatchSize > 1 && mmsgAvailable && !o.ForceGeneric {
 		rc, err := c.SyscallConn()
 		if err != nil {
-			c.Close()
 			return nil, fmt.Errorf("transport: raw conn: %w", err)
 		}
 		s.rc = rc
@@ -162,8 +203,8 @@ func ListenUDPOptions(addr string, o UDPOptions) (*UDPSocket, error) {
 // MmsgActive reports whether the recvmmsg/sendmmsg fast path is armed.
 func (s *UDPSocket) MmsgActive() bool { return s.mmsg }
 
-// ReusePortAvailable reports whether SO_REUSEPORT socket sharding is
-// supported on this platform; ListenUDPOptions rejects ReusePort elsewhere.
+// ReusePortAvailable reports whether SO_REUSEPORT is supported on this
+// platform, i.e. whether ListenUDPGroup can return more than one socket.
 func ReusePortAvailable() bool { return reusePortAvailable }
 
 // BufferSizes reports the socket's effective SO_RCVBUF/SO_SNDBUF values as
