@@ -307,7 +307,7 @@ type Server interface {
 	Location() *location.Service
 	// DB exposes the simulated user store.
 	DB() *userdb.DB
-	// Timers exposes the timer scheduler (experiments poll its population).
+	// Timers exposes the timer scheduler (tests inspect its policy).
 	Timers() timerlist.Scheduler
 	// Tracer exposes the flight recorder (nil when tracing is disabled).
 	Tracer() *trace.Recorder
@@ -407,6 +407,8 @@ func newSubstrate(cfg Config) (*substrate, error) {
 	}
 	prof.SetGauge(metrics.GaugeTimersPending, func() float64 { return float64(timers.Len()) })
 	prof.SetGauge(metrics.GaugeTimersCancelledResident, func() float64 { return float64(timers.CancelledResident()) })
+	prof.SetGauge(metrics.GaugeTimersScheduled, func() float64 { n, _ := timers.Stats(); return float64(n) })
+	prof.SetGauge(metrics.GaugeTimersFired, func() float64 { _, n := timers.Stats(); return float64(n) })
 	s := &substrate{
 		cfg:       cfg,
 		prof:      prof,

@@ -1,378 +1,318 @@
-// Package experiment regenerates the paper's evaluation (Ram et al. §5):
-// Figure 3 (baseline UDP vs TCP throughput), Figure 4 (the file-descriptor
-// cache), Figure 5 (priority-queue connection management), the §5 profile
-// observations (time in IPC and in the idle scan), the §4.3 supervisor
-// priority effect, and the §6 discussion points (multi-threaded shared
-// address space, SCTP-style transport).
+// Package experiment regenerates the paper's evaluation (Ram et al. §5) and
+// the extensions built on it. Every figure is one shape: server variants ×
+// offered loads, each cell a fresh server under a closed-loop loadgen
+// workload, read through the server's own metrics snapshot and sampled
+// time series.
 //
-// Each cell of a figure is an independent run: a fresh server of the
-// variant under test, a provisioned user base, and a loadgen closed-loop
-// workload. Absolute ops/s depend on the host; the reproduction target is
-// the shape — who wins, by what factor, and where the fixes close the gap.
+// A figure is therefore a declared Sweep — rows (a name, a client
+// transport, an edit to one base core.Config and an optional edit to the
+// loadgen.Config), default loads and repetitions, and the columns its table
+// prints. Run executes any sweep through one setup/teardown path and one
+// median loop; Report renders any result through one table, Markdown and
+// chart renderer. The registry (Sweeps, Lookup) holds one sweep per
+// sipexperiment -fig name.
+//
+// Absolute ops/s depend on the host; the reproduction target is the shape
+// — who wins, by what factor, and where the fixes close the gap.
 package experiment
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
+	"sort"
 	"time"
 
-	"gosip/internal/connmgr"
 	"gosip/internal/core"
 	"gosip/internal/ipc"
 	"gosip/internal/loadgen"
 	"gosip/internal/metrics"
+	"gosip/internal/testutil"
 	"gosip/internal/transport"
 )
 
-// Workload is one bar group of the paper's figures.
-type Workload struct {
-	// Name is the paper's label, e.g. "TCP 50 ops/conn".
-	Name string
-	// Transport selects the client transport.
-	Transport transport.Kind
-	// OpsPerConn is the TCP reconnect policy (0 = persistent).
-	OpsPerConn int
-}
+// domain is the SIP domain every cell serves and provisions.
+const domain = "bench.gosip"
 
-// IsUDP reports whether this is the UDP reference workload.
-func (w Workload) IsUDP() bool { return w.Transport == transport.UDP }
+// samplerInterval is the in-run sampling period: tens of samples from a
+// cell of seconds, and a final one when the load ends, so a gauge's peak
+// over a run that only grows is its last reading.
+const samplerInterval = 200 * time.Millisecond
 
-// StandardWorkloads returns the four workloads of Figures 3–5.
-func StandardWorkloads() []Workload {
-	return []Workload{
-		{Name: "TCP 50 ops/conn", Transport: transport.TCP, OpsPerConn: 50},
-		{Name: "TCP 500 ops/conn", Transport: transport.TCP, OpsPerConn: 500},
-		{Name: "TCP persistent", Transport: transport.TCP, OpsPerConn: 0},
-		{Name: "UDP", Transport: transport.UDP, OpsPerConn: 0},
-	}
-}
-
-// Scale sets the experiment's size. The paper drove 100/500/1000
-// simultaneous clients from three dedicated machines into a 4-core server;
-// DefaultScale is shrunk for a shared single-core host, preserving the
-// load ratios (1:5:10 becomes the default Clients slice).
-type Scale struct {
-	// Clients are the concurrent caller counts (the figures' x-axis).
-	Clients []int
-	// CallsPerCaller is each caller's closed-loop call count; one call is
-	// two operations.
-	CallsPerCaller int
-	// Workers is the server worker count (paper: 24 UDP / 32 TCP).
+// Env is the run environment a sweep executes in. Zero fields fall back to
+// the sweep's own defaults.
+type Env struct {
+	// Loads are the offered loads (concurrent caller/callee pairs, the
+	// figures' "clients"). A sweep declared at a single load runs at the
+	// middle entry instead.
+	Loads []int
+	// Calls is each caller's closed-loop call (or REGISTER) count.
+	Calls int
+	// Workers is the server worker count.
 	Workers int
-	// IPCMode selects the supervisor IPC fabric for TCP servers.
-	IPCMode ipc.Mode
-	// IdleTimeout, SupervisorGrace, IdleCheckInterval scale the §4.3
-	// connection-management configuration (paper: 10s idle timeout).
-	IdleTimeout       time.Duration
-	SupervisorGrace   time.Duration
-	IdleCheckInterval time.Duration
-	// ResponseTimeout is phone patience per response.
-	ResponseTimeout time.Duration
+	// IPC is the supervisor fd-passing fabric of every tcp-architecture
+	// server.
+	IPC ipc.Mode
+	// Prefill is how many bindings the register sweep pre-fills into the
+	// location store.
+	Prefill int
+	// Reps runs every cell this many times and keeps the median-throughput
+	// run.
+	Reps int
 }
 
-// DefaultScale returns a single-host configuration that completes each
-// figure in tens of seconds.
-func DefaultScale() Scale {
+// DefaultEnv runs each sweep at its declared scale, with real SCM_RIGHTS fd
+// passing where the host has it and a million pre-filled bindings.
+func DefaultEnv() Env {
 	mode := ipc.ModeChan
 	if runtime.GOOS == "linux" {
-		mode = ipc.ModeUnix // real SCM_RIGHTS fd passing
+		mode = ipc.ModeUnix
 	}
-	return Scale{
-		Clients:        []int{10, 50, 100},
-		CallsPerCaller: 100,
-		Workers:        8,
-		IPCMode:        mode,
-		// The paper's tuned idle timeout (§4.3): connections churned by the
-		// non-persistent workloads accumulate in the shared table for 10s,
-		// which is what makes the baseline full-table scan expensive.
-		IdleTimeout:       10 * time.Second,
-		SupervisorGrace:   5 * time.Second,
-		IdleCheckInterval: 100 * time.Millisecond,
-		ResponseTimeout:   2 * time.Second,
-	}
+	return Env{IPC: mode, Prefill: 1_000_000}
 }
 
-// PaperScale returns the paper's client counts; expect minutes per figure
-// on a small host.
-func PaperScale() Scale {
-	s := DefaultScale()
-	s.Clients = []int{100, 500, 1000}
-	s.CallsPerCaller = 100
-	return s
+// Sweep declares one figure.
+type Sweep struct {
+	// Name is the sipexperiment -fig name; Title heads the figure's table.
+	Name, Title string
+	// Loads, Calls, Workers and Reps are the defaults Env overrides.
+	Loads                []int
+	Calls, Workers, Reps int
+	// Server and Load are the sweep-wide edits to every cell's configs,
+	// applied before the row's own.
+	Server func(*core.Config)
+	Load   func(*loadgen.Config)
+	Rows   []Row
+	// Cols are the columns printed after each cell's ops/s.
+	Cols []Column
+	// Timelines names the rows whose run timeline at the top load the CLI
+	// prints under the table.
+	Timelines []string
+
+	// Configure finishes a cell's configs after every edit (transports: the
+	// runtime certificate, shared with the phone fleet).
+	Configure func(*core.Config, *loadgen.Config) error
+	// Start runs on the provisioned server before the load. The stop
+	// function it returns runs after the load with the server still up and
+	// returns a text block the report prints for the cell.
+	Start func(Env, core.Server) (stop func() string, err error)
 }
 
-// Variant builds the server configuration for a workload — the thing each
-// figure varies.
-type Variant func(w Workload, sc Scale) core.Config
+// Row is one server variant of a sweep.
+type Row struct {
+	Name string
+	// Transport and OpsPerConn select the client workload (OpsPerConn 0 =
+	// persistent connections). The base server architecture follows the
+	// transport: udp for UDP, tcp for the stream transports.
+	Transport  transport.Kind
+	OpsPerConn int
+	// Ref names the row this one is compared against at the same load.
+	Ref    string
+	Server func(*core.Config)
+	Load   func(*loadgen.Config)
+}
 
-// Cell is one (workload, client-count) measurement.
+// Column is one printed quantity: a function of the cell and of its row's
+// reference cell (nil when the row has none). "-" marks a value that does
+// not apply; a column that is "-" in every cell is not printed.
+type Column struct {
+	Name  string
+	Value func(c, ref *Cell) string
+}
+
+// Cell is one (row, load) measurement.
 type Cell struct {
-	Workload Workload
-	Clients  int
 	Result   loadgen.Result
 	Snapshot metrics.Snapshot
-	// Series is the run's sampled time series (throughput, per-stage
-	// percentiles, runtime health over the measured window).
+	// Series is the run's sampled time series.
 	Series metrics.Series
 }
 
-// samplerInterval is the in-run sampling period. Cells at default scale run
-// for seconds, so this yields tens of samples without measurable overhead.
-const samplerInterval = 200 * time.Millisecond
-
-// seriesStages are the pipeline stages shown in run-timeline tables; the
-// renderer drops the ones an architecture never exercises.
-var seriesStages = []string{
-	metrics.StageParse, metrics.StageProcess, metrics.StageSend,
-	metrics.StageFDIPC, metrics.StageIdleScan,
+// Report is a completed sweep.
+type Report struct {
+	Sweep *Sweep
+	Loads []int
+	// Cells and Notes are indexed [row][load]; Notes holds the Start hook's
+	// text for the kept run.
+	Cells [][]Cell
+	Notes [][]string
 }
 
-// SeriesTable renders the cell's run timeline (ops/s and per-stage P99 per
-// sampling interval) as text; empty when the run was too short to sample.
-func (c *Cell) SeriesTable() string {
-	stages := c.Series.ActiveStages(seriesStages)
-	return c.Series.Table(metrics.MetricMsgsProcessed, stages)
-}
-
-// SeriesMarkdown is SeriesTable as a GitHub table for EXPERIMENTS.md.
-func (c *Cell) SeriesMarkdown() string {
-	stages := c.Series.ActiveStages(seriesStages)
-	return c.Series.Markdown(metrics.MetricMsgsProcessed, stages)
-}
-
-// SeriesStages returns the stage set timeline tables consider.
-func SeriesStages() []string { return append([]string(nil), seriesStages...) }
-
-// Figure is a completed experiment matrix.
-type Figure struct {
-	ID    string
-	Title string
-	Scale Scale
-	Cells []Cell
-}
-
-// CellFor returns the measurement for (workload name, clients), or nil.
-func (f *Figure) CellFor(name string, clients int) *Cell { return f.cell(name, clients) }
-
-// cell returns the measurement for (workload name, clients), or nil.
-func (f *Figure) cell(name string, clients int) *Cell {
-	for i := range f.Cells {
-		if f.Cells[i].Workload.Name == name && f.Cells[i].Clients == clients {
-			return &f.Cells[i]
+// Cell returns the measurement for (row name, load), or nil.
+func (r *Report) Cell(row string, load int) *Cell {
+	for i := range r.Sweep.Rows {
+		if r.Sweep.Rows[i].Name != row {
+			continue
+		}
+		for j, l := range r.Loads {
+			if l == load {
+				return &r.Cells[i][j]
+			}
 		}
 	}
 	return nil
 }
 
-// Throughput returns ops/s for (workload name, clients), or 0.
-func (f *Figure) Throughput(name string, clients int) float64 {
-	if c := f.cell(name, clients); c != nil {
-		return c.Result.Throughput
+func orDefault(v, def int) int {
+	if v > 0 {
+		return v
 	}
-	return 0
+	return def
 }
 
-// RunMatrix measures every workload at every client count with a fresh
-// server per cell. progress, when non-nil, receives one line per cell.
-func RunMatrix(id, title string, sc Scale, variant Variant, workloads []Workload, progress func(string)) (*Figure, error) {
-	fig := &Figure{ID: id, Title: title, Scale: sc}
-	for _, clients := range sc.Clients {
-		for _, w := range workloads {
-			cell, err := runCell(w, clients, sc, variant)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s (%s, %d clients): %w", id, w.Name, clients, err)
-			}
-			fig.Cells = append(fig.Cells, *cell)
-			if progress != nil {
-				progress(fmt.Sprintf("[fig %s] %-18s %4d clients: %s", id, w.Name, clients, cell.Result))
+// loads resolves the sweep's load points in env.
+func (s *Sweep) loads(env Env) []int {
+	switch {
+	case len(env.Loads) == 0:
+		return s.Loads
+	case len(s.Loads) == 1:
+		return env.Loads[len(env.Loads)/2 : len(env.Loads)/2+1]
+	}
+	return env.Loads
+}
+
+// configs builds one cell's server and load configuration.
+func (s *Sweep) configs(env Env, row *Row, load int) (core.Config, loadgen.Config, error) {
+	cfg := core.Config{
+		Arch:     core.ArchTCP,
+		Workers:  orDefault(env.Workers, s.Workers),
+		Stateful: true,
+		Domain:   domain,
+		IPCMode:  env.IPC,
+	}
+	if row.Transport == transport.UDP {
+		cfg.Arch = core.ArchUDP
+	}
+	lc := loadgen.Config{
+		Transport:      row.Transport,
+		Domain:         domain,
+		Pairs:          load,
+		CallsPerCaller: orDefault(env.Calls, s.Calls),
+		OpsPerConn:     row.OpsPerConn,
+	}
+	for _, edit := range []func(*core.Config){s.Server, row.Server} {
+		if edit != nil {
+			edit(&cfg)
+		}
+	}
+	for _, edit := range []func(*loadgen.Config){s.Load, row.Load} {
+		if edit != nil {
+			edit(&lc)
+		}
+	}
+	var err error
+	if s.Configure != nil {
+		err = s.Configure(&cfg, &lc)
+	}
+	return cfg, lc, err
+}
+
+// Run measures every row at every load, each cell on a fresh server.
+// Repetitions are interleaved — rep 1 of every cell, then rep 2 — so a slow
+// stretch on a shared host lands on all rows, and each cell keeps its
+// median-throughput run. progress, when non-nil, receives one line per run.
+func Run(s *Sweep, env Env, progress func(string)) (*Report, error) {
+	loads := s.loads(env)
+	reps := orDefault(env.Reps, orDefault(s.Reps, 1))
+	type run struct {
+		cell Cell
+		note string
+	}
+	runs := make([][][]run, len(s.Rows))
+	for i := range runs {
+		runs[i] = make([][]run, len(loads))
+	}
+	for rep := 1; rep <= reps; rep++ {
+		for i := range s.Rows {
+			row := &s.Rows[i]
+			for j, load := range loads {
+				cell, note, err := runCell(s, env, row, load)
+				if err != nil {
+					return nil, fmt.Errorf("%s (%s, %d clients): %w", s.Name, row.Name, load, err)
+				}
+				runs[i][j] = append(runs[i][j], run{cell, note})
+				if progress != nil {
+					progress(fmt.Sprintf("[%s] rep %d/%d %-24s %4d clients: %s",
+						s.Name, rep, reps, row.Name, load, cell.Result))
+				}
 			}
 		}
 	}
-	return fig, nil
+	rep := &Report{Sweep: s, Loads: loads, Cells: make([][]Cell, len(s.Rows)), Notes: make([][]string, len(s.Rows))}
+	for i := range runs {
+		for _, rs := range runs[i] {
+			sort.Slice(rs, func(a, b int) bool { return rs[a].cell.Result.Throughput < rs[b].cell.Result.Throughput })
+			median := rs[len(rs)/2]
+			rep.Cells[i] = append(rep.Cells[i], median.cell)
+			rep.Notes[i] = append(rep.Notes[i], median.note)
+		}
+	}
+	return rep, nil
 }
 
-func runCell(w Workload, clients int, sc Scale, variant Variant) (*Cell, error) {
-	cfg := variant(w, sc)
+// runCell is the one setup/teardown path: start the server, provision the
+// callers, run the load under the sampler, close the server, then snapshot
+// and audit it.
+func runCell(s *Sweep, env Env, row *Row, load int) (Cell, string, error) {
+	cfg, lc, err := s.configs(env, row, load)
+	if err != nil {
+		return Cell{}, "", err
+	}
+	runtime.GC() // level the allocator debt left by the previous cell
+	goroutines := runtime.NumGoroutine()
 	srv, err := core.New(cfg)
 	if err != nil {
-		return nil, err
+		return Cell{}, "", err
 	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*clients, cfg.Domain)
-
+	srv.DB().ProvisionN(2*load, cfg.Domain)
+	stop := func() string { return "" }
+	if s.Start != nil {
+		if stop, err = s.Start(env, srv); err != nil {
+			srv.Close()
+			return Cell{}, "", err
+		}
+	}
+	lc.ProxyAddr = srv.Addr()
 	sampler := metrics.StartSampler(srv.Profile(), samplerInterval)
-	res, err := loadgen.Run(loadgen.Config{
-		Transport:       w.Transport,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
-		Pairs:           clients,
-		CallsPerCaller:  sc.CallsPerCaller,
-		OpsPerConn:      w.OpsPerConn,
-		ResponseTimeout: sc.ResponseTimeout,
-	})
+	res, err := loadgen.Run(lc)
 	series := sampler.Stop()
-	if err != nil {
-		return nil, err
-	}
+	note := stop()
 	// The last response reaches its phone before the handler that relayed it
 	// returns; Close joins every handler, so the snapshot sees each message
 	// counted and its stage timings recorded alike.
-	srv.Close()
-	return &Cell{Workload: w, Clients: clients, Result: res, Snapshot: srv.Profile().Snapshot(), Series: series}, nil
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return Cell{}, "", err
+	}
+	cell := Cell{Result: res, Snapshot: srv.Profile().Snapshot(), Series: series}
+	return cell, note, audit(cell.Snapshot, goroutines)
 }
 
-// baseConfig assembles the parts of the server config every figure shares.
-func baseConfig(w Workload, sc Scale) core.Config {
-	arch := core.ArchTCP
-	if w.IsUDP() {
-		arch = core.ArchUDP
+// audit checks a closed server left nothing behind: every supervisor-issued
+// fd handle closed, every receive buffer recycled, every goroutine gone.
+func audit(snap metrics.Snapshot, goroutines int) error {
+	if issued, closed := snap.Counters[metrics.MetricIPCHandlesIssued], snap.Counters[metrics.MetricIPCHandlesClosed]; issued != closed {
+		return fmt.Errorf("fd handles: %d issued, %d closed", issued, closed)
 	}
-	return core.Config{
-		Arch:              arch,
-		Workers:           sc.Workers,
-		Stateful:          true,
-		Domain:            "bench.gosip",
-		IPCMode:           sc.IPCMode,
-		IdleTimeout:       sc.IdleTimeout,
-		SupervisorGrace:   sc.SupervisorGrace,
-		IdleCheckInterval: sc.IdleCheckInterval,
+	if n := snap.Counters[metrics.MetricUDPPoolDropped]; n != 0 {
+		return fmt.Errorf("udp buffer pool dropped %d buffers", n)
 	}
+	if n := testutil.SettleGoroutines(goroutines); n > 0 {
+		return fmt.Errorf("%d goroutines outlived the server", n)
+	}
+	return nil
 }
 
-// Figure3 is the baseline: no fd cache, full-scan idle management.
-func Figure3(sc Scale, progress func(string)) (*Figure, error) {
-	return RunMatrix("3", "Baseline OpenSER performance", sc,
-		func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = false
-			cfg.ConnMgr = connmgr.KindScan
-			return cfg
-		}, StandardWorkloads(), progress)
-}
+// Sweeps returns the registry in -fig all order.
+func Sweeps() []*Sweep { return registry }
 
-// Figure4 adds the per-worker file-descriptor cache (§5.2).
-func Figure4(sc Scale, progress func(string)) (*Figure, error) {
-	return RunMatrix("4", "File descriptor cache performance", sc,
-		func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindScan
-			return cfg
-		}, StandardWorkloads(), progress)
-}
-
-// Figure5 adds priority-queue idle management on top of the cache (§5.3).
-func Figure5(sc Scale, progress func(string)) (*Figure, error) {
-	return RunMatrix("5", "Priority queue performance", sc,
-		func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindPQueue
-			return cfg
-		}, StandardWorkloads(), progress)
-}
-
-// Table renders a paper-style throughput matrix.
-func (f *Figure) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure %s: %s (ops/s)\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%-20s", "workload")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, "%14s", fmt.Sprintf("%d clients", c))
-	}
-	b.WriteByte('\n')
-	for _, w := range f.workloads() {
-		fmt.Fprintf(&b, "%-20s", w)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, "%14.0f", f.Throughput(w, c))
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(f.ratioLines())
-	return b.String()
-}
-
-// Markdown renders the matrix as a Markdown table for EXPERIMENTS.md.
-func (f *Figure) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "| workload |")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, " %d clients |", c)
-	}
-	b.WriteString("\n|---|")
-	for range f.Scale.Clients {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, w := range f.workloads() {
-		fmt.Fprintf(&b, "| %s |", w)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, " %.0f |", f.Throughput(w, c))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func (f *Figure) workloads() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, c := range f.Cells {
-		if !seen[c.Workload.Name] {
-			seen[c.Workload.Name] = true
-			names = append(names, c.Workload.Name)
+// Lookup returns the sweep registered under name, or nil.
+func Lookup(name string) *Sweep {
+	for _, s := range registry {
+		if s.Name == name {
+			return s
 		}
 	}
-	return names
-}
-
-// ratioLines summarizes each TCP workload as a percentage of UDP — the
-// quantity the paper's abstract tracks (13–51% baseline → 50–78% fixed).
-func (f *Figure) ratioLines() string {
-	var b strings.Builder
-	for _, w := range f.workloads() {
-		if w == "UDP" {
-			continue
-		}
-		fmt.Fprintf(&b, "%-20s", w+" /UDP")
-		for _, c := range f.Scale.Clients {
-			udp := f.Throughput("UDP", c)
-			if udp <= 0 {
-				fmt.Fprintf(&b, "%14s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%13.0f%%", 100*f.Throughput(w, c)/udp)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TCPOfUDPRange returns the min and max TCP-as-%-of-UDP across all TCP
-// workloads and client counts — the abstract's headline numbers.
-func (f *Figure) TCPOfUDPRange() (lo, hi float64) {
-	lo, hi = 1e18, -1
-	for _, w := range f.workloads() {
-		if w == "UDP" {
-			continue
-		}
-		for _, c := range f.Scale.Clients {
-			udp := f.Throughput("UDP", c)
-			if udp <= 0 {
-				continue
-			}
-			r := 100 * f.Throughput(w, c) / udp
-			if r < lo {
-				lo = r
-			}
-			if r > hi {
-				hi = r
-			}
-		}
-	}
-	if hi < 0 {
-		return 0, 0
-	}
-	return lo, hi
+	return nil
 }

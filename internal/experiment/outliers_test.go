@@ -4,66 +4,50 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gosip/internal/core"
+	"gosip/internal/ipc"
 )
 
-// TestRunOutliersSmoke runs the tail-explanation experiment at a tiny
-// scale and checks the property the figure exists to demonstrate: every
-// cell retains at least one slow call whose span timeline accounts for its
-// end-to-end latency.
+// TestRunOutliersSmoke runs the tail-explanation sweep with a shorter query
+// and a lower retain threshold, and checks the property the figure exists
+// to demonstrate: every cell retains at least one slow call whose span
+// timeline accounts for its end-to-end latency.
 func TestRunOutliersSmoke(t *testing.T) {
-	sc := OutlierScale{
-		Pairs:           4,
-		CallsPerCaller:  4,
-		Workers:         2,
-		LookupLatency:   3 * time.Millisecond,
-		DBPool:          1,
-		SlowThreshold:   8 * time.Millisecond,
-		Sample:          0.05,
-		Ring:            128,
-		ResponseTimeout: 2 * time.Second,
-		MaxRetries:      3,
+	s := *outliers
+	s.Server = func(c *core.Config) {
+		outliers.Server(c)
+		c.DB.LookupLatency = 3 * time.Millisecond
+		c.Trace.Slow, c.Trace.Ring = 8*time.Millisecond, 128
 	}
-	rep, err := RunOutliers(sc, nil)
+	r, err := Run(&s, Env{Loads: []int{4}, Calls: 4, Workers: 2, IPC: ipc.ModeChan}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != len(outlierCells) {
-		t.Fatalf("got %d cells, want %d", len(rep.Cells), len(outlierCells))
-	}
-	for i := range rep.Cells {
-		c := &rep.Cells[i]
-		name := string(c.Transport) + "/" + string(c.Arch)
+	for i, row := range s.Rows {
+		c := &r.Cells[i][0]
 		if c.Result.CallsCompleted == 0 {
-			t.Errorf("%s: no calls completed: %+v", name, c.Result)
+			t.Errorf("%s: no calls completed: %+v", row.Name, c.Result)
 		}
-		if c.Retained == 0 || c.SlowRetained == 0 {
-			t.Errorf("%s: recorder retained=%d slow=%d, want both > 0", name, c.Retained, c.SlowRetained)
+		if retained, slow := c.Snapshot.Counters["trace.retained"], c.Snapshot.Gauges[gaugeSlowRetained]; retained == 0 || slow == 0 {
+			t.Errorf("%s: recorder retained=%d slow=%.0f, want both > 0", row.Name, retained, slow)
 		}
-		if c.Exemplar == nil {
-			t.Errorf("%s: no exemplar trace", name)
-			continue
+		note := r.Notes[i][0]
+		if !strings.HasPrefix(note, "exemplar (slow,") {
+			t.Errorf("%s: exemplar is not a slow call:\n%s", row.Name, note)
 		}
-		if c.Exemplar.Reason() != "slow" {
-			t.Errorf("%s: exemplar reason = %s, want slow", name, c.Exemplar.Reason())
-		}
-		if !Consistent(c.Exemplar) {
-			t.Errorf("%s: exemplar timeline inconsistent: e2e=%v accounted=%v",
-				name, c.Exemplar.E2E, c.Exemplar.Coverage())
-		}
-		if c.HandlesLeaked != 0 || c.GoroutineDelta > 0 {
-			t.Errorf("%s: leaks: fd=%d goroutines=%d", name, c.HandlesLeaked, c.GoroutineDelta)
+		e2e, acc := c.Snapshot.Gauges[gaugeExemplarE2E], c.Snapshot.Gauges[gaugeExemplarAccounted]
+		if d := acc - e2e; e2e <= 0 || d > e2e/10 || -d > e2e/10 {
+			t.Errorf("%s: exemplar timeline inconsistent: e2e=%v accounted=%v", row.Name, time.Duration(e2e), time.Duration(acc))
 		}
 	}
-	out := rep.Table()
-	for _, want := range []string{"Explaining the tail", "exemplar", "accounted="} {
+	out := r.Table()
+	for _, want := range []string{"Explaining the tail", "exemplar e2e", "accounted=", "threaded @ 4 clients"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	md := rep.Markdown()
-	for _, want := range []string{"| transport |", "Slowest exemplar"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
+	if md := r.Markdown(); !strings.Contains(md, "| row |") || !strings.Contains(md, "```") {
+		t.Errorf("markdown malformed:\n%s", md)
 	}
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,446 +16,145 @@ import (
 	"gosip/internal/userdb"
 )
 
-// RegisterScale shapes the registration-avalanche sweep: a registrar holding
-// a large pre-filled location store, hit by N phones all re-REGISTERing
-// inside one retry window — the synchronized re-registration storm that
-// follows a registrar restart or a network partition healing, when every
-// phone's binding timer fires in the same interval.
-//
-// The sweep isolates the registrar tier the way the overload sweep isolates
-// admission control: server capacity is pinned by the simulated credential
-// database (LookupLatency serialized over DBPool connections), so the cells
-// measure how the three registrar defenses compose — the O(1) expiry-wheel
-// location store (always on), the digest-auth credential cache (cuts the
-// database out of the steady-state path), and the PR 3 admission controller
-// (sheds the excess cheaply when the database is the bottleneck anyway).
-type RegisterScale struct {
-	// Phones are the avalanche sizes: concurrent closed-loop re-registering
-	// endpoints. The top entry should sit well past the capacity implied by
-	// DBLatency and DBPool.
-	Phones []int
-	// RegistersPerPhone is each phone's closed-loop REGISTER count.
-	RegistersPerPhone int
-	// Workers is the server worker count.
-	Workers int
-	// Prefill is how many synthetic bindings the location store holds before
-	// the avalanche starts; bytes/binding and lookup latency under churn are
-	// measured against this resident population.
-	Prefill int
-	// LookupProbers is how many goroutines hammer LookupOne on the prefilled
-	// AORs during the measured phase (the proxy-routing side of the registrar
-	// under registration churn).
-	LookupProbers int
-	// DBLatency and DBPool pin credential-verification capacity exactly like
-	// the overload sweep: a pool of DBPool connections each taking DBLatency
-	// per query.
-	DBLatency time.Duration
-	DBPool    int
-	// CacheEntries and CacheTTL configure the auth cache for the cached
-	// variants.
-	CacheEntries int
-	CacheTTL     time.Duration
-	// MaxPending and MaxQueue are the admission controller's budgets for the
-	// controlled variants.
-	MaxPending int
-	MaxQueue   int
-	// ResponseTimeout and MaxRetries set phone patience; impatience is what
-	// turns a saturated registrar into a collapsing one.
-	ResponseTimeout time.Duration
-	MaxRetries      int
-	// RejectRetries and BackoffCap set how phones honor 503 + Retry-After.
-	RejectRetries int
-	BackoffCap    time.Duration
-	// Reps repeats every cell and keeps the median-throughput run.
-	Reps int
+// Metrics the register sweep's Start hook adds to each cell's server
+// profile, so the cell's snapshot carries them beside the server's own.
+const (
+	gaugePrefill         = "prefill.bindings"
+	gaugeBytesPerBinding = "prefill.bytes_per_binding"
+	histLookupProbe      = "probe.lookup"
+)
+
+// lookupProbers is how many goroutines time LookupOne on the pre-filled
+// AORs during the load — the proxy-routing side of the registrar under
+// registration churn.
+const lookupProbers = 2
+
+// register is the registration avalanche: a registrar holding a large
+// pre-filled location store, hit by N phones all re-REGISTERing at once —
+// the synchronized storm that follows a registrar restart or a partition
+// healing. Capacity is pinned by the simulated credential database (2 ms
+// serialized over a pool of 2, ≈1000 authenticated REGISTERs/s), so the
+// rows measure how the registrar defenses compose: the expiry-wheel
+// location store (always on), the digest-auth credential cache, and the
+// admission controller.
+var register = &Sweep{
+	Name:  "register",
+	Title: "Registration avalanche: sustained REGISTER goodput (reg/s) vs avalanche size (DB 2ms x2 pool)",
+	Loads: []int{16, 128}, Calls: 40, Workers: 8,
+	Server: func(c *core.Config) {
+		c.DB = userdb.Config{LookupLatency: 2 * time.Millisecond, PoolSize: 2}
+		c.Overload.MaxPending, c.Overload.MaxQueue = 8, 16
+	},
+	Load: func(lc *loadgen.Config) {
+		lc.Scenario = loadgen.ScenarioRegistrations
+		// Impatient phones are what turn a saturated registrar into a
+		// collapsing one.
+		lc.ResponseTimeout, lc.MaxRetries = 150*time.Millisecond, 2
+		lc.RejectRetries, lc.BackoffCap = 6, 100*time.Millisecond
+		// Setup registers against the same capacity-pinned database; trickle
+		// it so the unmeasured phase doesn't trip the controller first.
+		lc.RegisterConcurrency = 8
+	},
+	Rows: []Row{
+		{Name: "noauth", Transport: transport.UDP},
+		registerRow("auth", "noauth", false, ""),
+		registerRow("auth+ctrl", "auth", false, overload.PolicyOccupancy),
+		registerRow("auth+cache", "auth", true, ""),
+		registerRow("auth+cache+ctrl", "auth", true, overload.PolicyOccupancy),
+	},
+	Start: prefill,
+	Cols: []Column{
+		counter("shed", metrics.MetricOverloadRejected),
+		{"lookup p50/p99", func(c, _ *Cell) string { return durations(c.Snapshot.Histograms[histLookupProbe]) }},
+		{"probes", func(c, _ *Cell) string { return fmt.Sprint(c.Snapshot.Histograms[histLookupProbe].Count) }},
+		{"cache hit/miss", func(c, _ *Cell) string {
+			return fmt.Sprintf("%d/%d", c.Snapshot.Counters[metrics.MetricAuthCacheHits], c.Snapshot.Counters[metrics.MetricAuthCacheMisses])
+		}},
+		gauge("prefill", gaugePrefill),
+		gauge("B/binding", gaugeBytesPerBinding),
+		{"heap peak", func(c, _ *Cell) string {
+			var p uint64
+			for _, s := range c.Series.Samples {
+				p = max(p, s.HeapAlloc)
+			}
+			return fmt.Sprintf("%.0fMiB", float64(p)/(1<<20))
+		}},
+	},
 }
 
-// DefaultRegisterScale pins capacity around 1000 authenticated REGISTERs/s
-// (2 ms serialized over a pool of 2), so the top of the default sweep offers
-// several times that and the uncached, uncontrolled cell collapses.
-func DefaultRegisterScale() RegisterScale {
-	return RegisterScale{
-		Phones:            []int{16, 128},
-		RegistersPerPhone: 40,
-		Workers:           8,
-		Prefill:           1_000_000,
-		LookupProbers:     2,
-		DBLatency:         2 * time.Millisecond,
-		DBPool:            2,
-		CacheEntries:      1 << 17,
-		CacheTTL:          time.Minute,
-		MaxPending:        8,
-		MaxQueue:          16,
-		ResponseTimeout:   150 * time.Millisecond,
-		MaxRetries:        2,
-		RejectRetries:     6,
-		BackoffCap:        100 * time.Millisecond,
-		Reps:              1,
-	}
-}
-
-// RegisterVariant names one server configuration of the sweep.
-type RegisterVariant struct {
-	Name  string
-	Auth  bool
-	Cache bool
-	// Policy is the admission controller ("ctrl" in the variant name);
-	// PolicyNone leaves admission wide open.
-	Policy overload.Policy
-}
-
-// registerVariants are the sweep's rows: a no-auth reference for the raw
-// location-store rate, then the four auth × {cache, control} combinations.
-func registerVariants() []RegisterVariant {
-	return []RegisterVariant{
-		{Name: "noauth"},
-		{Name: "auth", Auth: true},
-		{Name: "auth+ctrl", Auth: true, Policy: overload.PolicyOccupancy},
-		{Name: "auth+cache", Auth: true, Cache: true},
-		{Name: "auth+cache+ctrl", Auth: true, Cache: true, Policy: overload.PolicyOccupancy},
-	}
-}
-
-// RegisterCell is one (variant, phones) measurement.
-type RegisterCell struct {
-	Variant string
-	Phones  int
-	Result  loadgen.Result
-
-	// Prefill accounting: resident store cost measured across the synthetic
-	// pre-fill (nodes, per-shard wheel links, AOR index, and the store-owned
-	// key strings — the full marginal footprint of one more binding).
-	Prefill         int
-	BytesPerBinding float64
-
-	// Lookup latency under churn, from the prober goroutines.
-	Lookups   int64
-	LookupP50 time.Duration
-	LookupP99 time.Duration
-	LookupMax time.Duration
-
-	// Server-side registrar counters.
-	Registered   int64
-	Refreshed    int64
-	Deregistered int64
-	// Auth-cache counters (zero when the cache is off).
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	// Shed is the admission controller's rejection count.
-	Shed int64
-	// LocLockWait is the total contended wait on location shard locks.
-	LocLockWait time.Duration
-	// HeapPeak is the run's maximum sampled heap (includes the prefill
-	// resident set).
-	HeapPeak uint64
-}
-
-// BindingsPerSec is sustained REGISTER goodput — loadgen's registration
-// scenario counts one op per completed REGISTER transaction.
-func (c RegisterCell) BindingsPerSec() float64 { return c.Result.Throughput }
-
-// RegisterReport is the finished sweep.
-type RegisterReport struct {
-	Scale RegisterScale
-	Cells []RegisterCell
-}
-
-// Cell returns the measurement for (variant, phones), or nil.
-func (r *RegisterReport) Cell(variant string, phones int) *RegisterCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Variant == variant && c.Phones == phones {
-			return c
+func registerRow(name, ref string, cache bool, policy overload.Policy) Row {
+	return Row{Name: name, Transport: transport.UDP, Ref: ref, Server: func(c *core.Config) {
+		c.Auth = true
+		if cache {
+			c.DB.Cache = userdb.CacheConfig{Entries: 1 << 17, TTL: time.Minute}
 		}
-	}
-	return nil
+		c.Overload.Policy = policy
+	}}
 }
 
-// CacheGain returns the cached : uncached goodput ratio at the largest
-// avalanche, for the uncontrolled rows (the cache's headline effect).
-func (r *RegisterReport) CacheGain() float64 {
-	if len(r.Scale.Phones) == 0 {
-		return 0
-	}
-	top := r.Scale.Phones[len(r.Scale.Phones)-1]
-	base := r.Cell("auth", top)
-	cached := r.Cell("auth+cache", top)
-	if base == nil || cached == nil || base.BindingsPerSec() <= 0 {
-		return 0
-	}
-	return cached.BindingsPerSec() / base.BindingsPerSec()
-}
-
-// RunRegister sweeps variant × avalanche size. Reps are interleaved across
-// cells (like RunLocks) so drift hits all cells evenly; each cell keeps its
-// median-throughput rep.
-func RunRegister(sc RegisterScale, progress func(string)) (*RegisterReport, error) {
-	if sc.Reps <= 0 {
-		sc.Reps = 1
-	}
-	rep := &RegisterReport{Scale: sc}
-	variants := registerVariants()
-
-	// The synthetic user names are shared by every cell (they are input to
-	// the store, not part of its measured footprint) and built once — at the
-	// default scale this is a million strings.
-	users := make([]string, sc.Prefill)
+// prefill fills the location store with env.Prefill synthetic bindings,
+// measuring the store's marginal heap cost per binding, and starts the
+// lookup probers the returned function stops.
+func prefill(env Env, srv core.Server) (func() string, error) {
+	// The user strings exist before the baseline reading, so the measured
+	// delta is the store's own cost per binding: node, wheel links, AOR
+	// index slot, store-owned key string.
+	users := make([]string, env.Prefill)
 	for i := range users {
 		users[i] = fmt.Sprintf("pf%d", i)
 	}
-
-	type cellKey struct {
-		variant string
-		phones  int
-	}
-	runs := make(map[cellKey][]RegisterCell)
-	for r := 0; r < sc.Reps; r++ {
-		for _, v := range variants {
-			for _, phones := range sc.Phones {
-				runtime.GC()
-				cell, err := runRegisterCell(sc, v, phones, users)
-				if err != nil {
-					return nil, fmt.Errorf("register (%s, %d phones): %w", v.Name, phones, err)
-				}
-				k := cellKey{v.Name, phones}
-				runs[k] = append(runs[k], *cell)
-				if progress != nil {
-					progress(fmt.Sprintf("[register] rep %d/%d %-15s %4d phones: %7.0f reg/s  (%d shed; lookup p99=%v over %d probes; cache %d/%d hit/miss; %.0f B/binding)",
-						r+1, sc.Reps, v.Name, phones, cell.BindingsPerSec(),
-						cell.Shed, cell.LookupP99.Round(time.Microsecond), cell.Lookups,
-						cell.CacheHits, cell.CacheMisses, cell.BytesPerBinding))
-				}
-			}
-		}
-	}
-	for _, v := range variants {
-		for _, phones := range sc.Phones {
-			rs := runs[cellKey{v.Name, phones}]
-			rep.Cells = append(rep.Cells, medianRegisterCell(rs))
-		}
-	}
-	return rep, nil
-}
-
-// medianRegisterCell picks the run with median goodput.
-func medianRegisterCell(rs []RegisterCell) RegisterCell {
-	best := rs[0]
-	if len(rs) > 1 {
-		sorted := append([]RegisterCell(nil), rs...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j].Result.Throughput < sorted[j-1].Result.Throughput; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		best = sorted[len(sorted)/2]
-	}
-	return best
-}
-
-func runRegisterCell(sc RegisterScale, v RegisterVariant, phones int, users []string) (*RegisterCell, error) {
-	cfg := core.Config{
-		Arch:     core.ArchUDP,
-		Workers:  sc.Workers,
-		Stateful: true,
-		Auth:     v.Auth,
-		Domain:   "bench.gosip",
-		DB: userdb.Config{
-			LookupLatency: sc.DBLatency,
-			PoolSize:      sc.DBPool,
-		},
-		Overload: overload.Config{
-			Policy:     v.Policy,
-			MaxPending: sc.MaxPending,
-			MaxQueue:   sc.MaxQueue,
-		},
-	}
-	if v.Cache {
-		cfg.DB.Cache = userdb.CacheConfig{Entries: sc.CacheEntries, TTL: sc.CacheTTL}
-	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*phones, cfg.Domain)
-
-	cell := &RegisterCell{Variant: v.Name, Phones: phones, Prefill: sc.Prefill}
-
-	// --- Synthetic pre-fill: the resident population the avalanche churns
-	// on top of. Contact/user strings exist before the baseline snapshot, so
-	// the measured delta is the store's own marginal cost per binding (node,
-	// wheel links, AOR index slot, store-owned key string). ---
-	loc := srv.Location()
+	loc, prof := srv.Location(), srv.Profile()
 	now := time.Now()
-	runtime.GC()
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := range users {
-		loc.RegisterContact(
-			sipmsg.URI{User: users[i], Host: cfg.Domain},
+	for _, u := range users {
+		loc.RegisterContact(sipmsg.URI{User: u, Host: domain},
 			location.Binding{
-				Contact:   sipmsg.URI{User: users[i], Host: "192.0.2.10", Port: 5060},
+				Contact:   sipmsg.URI{User: u, Host: "192.0.2.10", Port: 5060},
 				Transport: "UDP",
 				Source:    "192.0.2.10:5060",
 			}, time.Hour, now)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if sc.Prefill > 0 && after.HeapAlloc > before.HeapAlloc {
-		cell.BytesPerBinding = float64(after.HeapAlloc-before.HeapAlloc) / float64(sc.Prefill)
+	n, perBinding := float64(len(users)), 0.0
+	if n > 0 && after.HeapAlloc > before.HeapAlloc {
+		perBinding = float64(after.HeapAlloc-before.HeapAlloc) / n
 	}
+	prof.SetGauge(gaugePrefill, func() float64 { return n })
+	prof.SetGauge(gaugeBytesPerBinding, func() float64 { return perBinding })
 
-	// --- Lookup probers: routing-side reads racing the registration storm.
 	// Probes come in short bursts with a sleep between them: the probers are
 	// latency instruments, not load, and spinning them flat-out would starve
-	// the server they are measuring on small hosts. ---
-	lookupHist := new(metrics.Histogram)
-	stopProbe := make(chan struct{})
-	var probeWG sync.WaitGroup
-	if sc.Prefill > 0 {
-		for p := 0; p < sc.LookupProbers; p++ {
-			probeWG.Add(1)
-			go func(i int) {
-				defer probeWG.Done()
-				for {
-					select {
-					case <-stopProbe:
-						return
-					default:
-					}
-					for k := 0; k < 8; k++ {
-						u := sipmsg.URI{User: users[i%len(users)], Host: cfg.Domain}
-						t0 := time.Now()
-						loc.LookupOne(u, t0)
-						lookupHist.Record(time.Since(t0))
-						i += 7919 // coprime stride: spread probes across shards
-					}
-					time.Sleep(2 * time.Millisecond)
+	// the server they measure on small hosts.
+	hist := prof.Histogram(histLookupProbe)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < lookupProbers && len(users) > 0; p++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
 				}
-			}(p * 104729)
-		}
-	}
-
-	sampler := metrics.StartSampler(srv.Profile(), 50*time.Millisecond)
-
-	res, err := loadgen.Run(loadgen.Config{
-		Scenario:        loadgen.ScenarioRegistrations,
-		Transport:       transport.UDP,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
-		Pairs:           phones,
-		CallsPerCaller:  sc.RegistersPerPhone,
-		ResponseTimeout: sc.ResponseTimeout,
-		MaxRetries:      sc.MaxRetries,
-		RejectRetries:   sc.RejectRetries,
-		BackoffCap:      sc.BackoffCap,
-		// Setup registers against the same capacity-pinned database; trickle
-		// it so the unmeasured phase doesn't trip the controller first.
-		RegisterConcurrency: 8,
-	})
-
-	close(stopProbe)
-	probeWG.Wait()
-	series := sampler.Stop()
-	if err != nil {
-		return nil, err
-	}
-
-	cell.Result = res
-	snap := lookupHist.Snapshot()
-	cell.Lookups = snap.Count
-	cell.LookupP50 = snap.Quantile(0.50)
-	cell.LookupP99 = snap.Quantile(0.99)
-	cell.LookupMax = snap.Max
-	prof := srv.Profile()
-	cell.Registered = prof.Counter(metrics.MetricLocRegistered).Value()
-	cell.Refreshed = prof.Counter(metrics.MetricLocRefreshed).Value()
-	cell.Deregistered = prof.Counter(metrics.MetricLocDeregistered).Value()
-	cell.CacheHits = prof.Counter(metrics.MetricAuthCacheHits).Value()
-	cell.CacheMisses = prof.Counter(metrics.MetricAuthCacheMisses).Value()
-	cell.CacheEvictions = prof.Counter(metrics.MetricAuthCacheEvictions).Value()
-	cell.Shed = prof.Counter(metrics.MetricOverloadRejected).Value()
-	cell.LocLockWait = prof.Timer(metrics.MetricLocLockWait).Total()
-	for _, s := range series.Samples {
-		if s.HeapAlloc > cell.HeapPeak {
-			cell.HeapPeak = s.HeapAlloc
-		}
-	}
-	return cell, nil
-}
-
-// Table renders goodput versus avalanche size, variants as rows, plus the
-// store-cost and lookup-latency columns at the largest avalanche.
-func (r *RegisterReport) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Registration avalanche: sustained REGISTER goodput (reg/s) vs avalanche size\n")
-	fmt.Fprintf(&b, "(location store pre-filled with %d bindings; DB %v x%d pool)\n\n",
-		r.Scale.Prefill, r.Scale.DBLatency, r.Scale.DBPool)
-	fmt.Fprintf(&b, "%-17s", "variant")
-	for _, p := range r.Scale.Phones {
-		fmt.Fprintf(&b, "%24s", fmt.Sprintf("%d phones", p))
-	}
-	fmt.Fprintf(&b, "%16s%14s\n", "lookup p50/p99", "B/binding")
-	top := 0
-	if len(r.Scale.Phones) > 0 {
-		top = r.Scale.Phones[len(r.Scale.Phones)-1]
-	}
-	for _, v := range registerVariants() {
-		fmt.Fprintf(&b, "%-17s", v.Name)
-		for _, p := range r.Scale.Phones {
-			c := r.Cell(v.Name, p)
-			if c == nil {
-				fmt.Fprintf(&b, "%24s", "-")
-				continue
+				for k := 0; k < 8; k++ {
+					u := sipmsg.URI{User: users[i%len(users)], Host: domain}
+					t0 := time.Now()
+					loc.LookupOne(u, t0)
+					hist.Record(time.Since(t0))
+					i += 7919 // coprime stride: spread probes across shards
+				}
+				time.Sleep(2 * time.Millisecond)
 			}
-			fmt.Fprintf(&b, "%24s", fmt.Sprintf("%.0f reg/s (%d shed)", c.BindingsPerSec(), c.Shed))
-		}
-		if c := r.Cell(v.Name, top); c != nil {
-			fmt.Fprintf(&b, "%16s%14.0f\n",
-				fmt.Sprintf("%v/%v", c.LookupP50.Round(time.Microsecond), c.LookupP99.Round(time.Microsecond)),
-				c.BytesPerBinding)
-		} else {
-			b.WriteByte('\n')
-		}
+		}(p * 104729)
 	}
-	if g := r.CacheGain(); g > 0 {
-		fmt.Fprintf(&b, "\nauth-cache gain at %d phones (no control): %.1fx uncached goodput\n", top, g)
-	}
-	return b.String()
-}
-
-// Markdown renders the sweep as a GitHub table for EXPERIMENTS.md.
-func (r *RegisterReport) Markdown() string {
-	var b strings.Builder
-	b.WriteString("\n| variant |")
-	for _, p := range r.Scale.Phones {
-		fmt.Fprintf(&b, " %d phones |", p)
-	}
-	b.WriteString(" shed @ max | lookup p99 @ max | cache hit/miss @ max | B/binding |\n|---|")
-	for range r.Scale.Phones {
-		b.WriteString("---|")
-	}
-	b.WriteString("---|---|---|---|\n")
-	top := 0
-	if len(r.Scale.Phones) > 0 {
-		top = r.Scale.Phones[len(r.Scale.Phones)-1]
-	}
-	for _, v := range registerVariants() {
-		fmt.Fprintf(&b, "| %s |", v.Name)
-		for _, p := range r.Scale.Phones {
-			if c := r.Cell(v.Name, p); c != nil {
-				fmt.Fprintf(&b, " %.0f |", c.BindingsPerSec())
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		if c := r.Cell(v.Name, top); c != nil {
-			fmt.Fprintf(&b, " %d | %v | %d/%d | %.0f |\n",
-				c.Shed, c.LookupP99.Round(time.Microsecond), c.CacheHits, c.CacheMisses, c.BytesPerBinding)
-		} else {
-			b.WriteString(" - | - | - | - |\n")
-		}
-	}
-	return b.String()
+	return func() string {
+		close(done)
+		wg.Wait()
+		return ""
+	}, nil
 }

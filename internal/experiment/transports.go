@@ -1,16 +1,13 @@
-// Transport-matrix experiment: UDP vs TCP vs TLS on the tuned server
-// (fd cache + pqueue), the price-of-privacy companion to Figures 3–5. The
-// question it answers is where TLS's cost actually sits: with persistent
-// connections and session resumption the steady state is the TCP persistent
-// path plus record-layer crypto, while per-call connections expose the full
+// Transport-matrix sweep: UDP vs TCP vs TLS on the tuned server (fd cache +
+// pqueue), the price-of-privacy companion to Figures 3–5. The question it
+// answers is where TLS's cost actually sits: with persistent connections
+// and session resumption the steady state is the TCP persistent path plus
+// record-layer crypto, while per-call connections expose the full
 // handshake — amortization, not encryption, dominates the gap.
 package experiment
 
 import (
-	"crypto/tls"
-	"crypto/x509"
 	"fmt"
-	"strings"
 	"time"
 
 	"gosip/internal/connmgr"
@@ -24,276 +21,66 @@ import (
 // 2 ops), the workload that maximizes connection-establishment cost.
 const perCallOps = 2
 
-// TransportCell is one (transport variant, client count) measurement with
-// the TLS accounting the gap analysis needs.
-type TransportCell struct {
-	Name    string
-	Clients int
-	Result  loadgen.Result
-	// Server-side TLS accounting (zero for UDP/TCP cells): handshakes the
-	// proxy performed, split full vs ticket-resumed, the handshake latency
-	// distribution, and sends pinned to the owning process because TLS
-	// crypto state cannot travel with a duplicated descriptor.
-	FullHandshakes int64
-	Resumptions    int64
-	PinnedSends    int64
-	Handshake      metrics.HistogramSnapshot
-	Snapshot       metrics.Snapshot
+var transports = &Sweep{
+	Name:  "transports",
+	Title: "Transport matrix: UDP/TCP/TLS on the tuned server (fd cache + pqueue)",
+	Loads: []int{10, 50, 100}, Calls: 100, Workers: 8,
+	Server: idle, Load: patient,
+	Rows: []Row{
+		{Name: "UDP", Transport: transport.UDP, Server: conns(false, connmgr.KindScan)},
+		{Name: "TCP persistent", Transport: transport.TCP, Server: conns(true, connmgr.KindPQueue)},
+		{Name: "TCP per-call", Transport: transport.TCP, OpsPerConn: perCallOps, Ref: "TCP persistent", Server: conns(true, connmgr.KindPQueue)},
+		tlsRow("TLS persistent+resume", 0, true),
+		tlsRow("TLS persistent", 0, false),
+		tlsRow("TLS per-call+resume", perCallOps, true),
+		tlsRow("TLS per-call", perCallOps, false),
+	},
+	Configure: withCert,
+	Cols: []Column{
+		{"handshakes full/resumed", func(c, _ *Cell) string {
+			full, resumed := c.Snapshot.Counters[metrics.MetricTLSFullHandshakes], c.Snapshot.Counters[metrics.MetricTLSResumptions]
+			if full+resumed == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%d/%d", full, resumed)
+		}},
+		{"handshake p50/p99", func(c, _ *Cell) string { return durations(c.Snapshot.Histograms[metrics.StageHandshake]) }},
+		{"pinned sends", func(c, _ *Cell) string {
+			// Sends pinned to the owning process: TLS crypto state cannot
+			// travel with a duplicated descriptor.
+			if c.Snapshot.Histograms[metrics.StageHandshake].Count == 0 {
+				return "-"
+			}
+			return fmt.Sprint(c.Snapshot.Counters[metrics.MetricTLSPinnedSends])
+		}},
+		{"reconnects", func(c, _ *Cell) string { return fmt.Sprint(c.Result.Reconnects) }},
+	},
 }
 
-// tlsSuffix is the progress-line tail for TLS cells.
-func (c *TransportCell) tlsSuffix() string {
-	if c.FullHandshakes == 0 && c.Resumptions == 0 {
-		return ""
+// tlsRow arms resumption on both sides when resume is set: the server
+// issues session tickets (with a rotating key, exercising the rotation path
+// under load) and the phone fleet shares one client session cache so
+// per-call reconnects resume.
+func tlsRow(name string, opsPerConn int, resume bool) Row {
+	return Row{Name: name, Transport: transport.TLS, OpsPerConn: opsPerConn, Ref: "TCP persistent",
+		Server: func(c *core.Config) {
+			conns(true, connmgr.KindPQueue)(c)
+			c.TLS = &core.TLSSettings{Resume: resume, TicketRotate: 30 * time.Second}
+		}}
+}
+
+// withCert gives a TLS cell's proxy a certificate generated at run time and
+// shares it with the phone fleet as its trust root; no key material
+// touches disk.
+func withCert(c *core.Config, lc *loadgen.Config) error {
+	if c.TLS == nil {
+		return nil
 	}
-	return fmt.Sprintf("  [hs %d full/%d resumed, p99=%v, %d pinned]",
-		c.FullHandshakes, c.Resumptions,
-		c.Handshake.P99().Round(time.Microsecond), c.PinnedSends)
-}
-
-// transportVariant is one column of the matrix.
-type transportVariant struct {
-	name       string
-	transport  transport.Kind
-	opsPerConn int
-	resume     bool
-}
-
-func transportVariants() []transportVariant {
-	return []transportVariant{
-		{name: "UDP", transport: transport.UDP},
-		{name: "TCP persistent", transport: transport.TCP},
-		{name: "TCP per-call", transport: transport.TCP, opsPerConn: perCallOps},
-		{name: "TLS persistent+resume", transport: transport.TLS, resume: true},
-		{name: "TLS persistent", transport: transport.TLS},
-		{name: "TLS per-call+resume", transport: transport.TLS, opsPerConn: perCallOps, resume: true},
-		{name: "TLS per-call", transport: transport.TLS, opsPerConn: perCallOps},
-	}
-}
-
-// TransportFigure is the completed matrix.
-type TransportFigure struct {
-	Scale Scale
-	Cells []TransportCell
-}
-
-// RunTransports measures the full UDP/TCP/TLS matrix — {persistent,
-// per-call} × {resumption on, off} for the stream transports — on the tuned
-// architecture (fd cache + pqueue). The proxy's certificate is generated at
-// run time and shared with the phone fleet as its trust root; no key
-// material touches disk.
-func RunTransports(sc Scale, progress func(string)) (*TransportFigure, error) {
 	cert, pool, err := transport.GenerateSelfSigned("gosip-bench")
 	if err != nil {
-		return nil, fmt.Errorf("transports: certificate: %w", err)
+		return fmt.Errorf("certificate: %w", err)
 	}
-	fig := &TransportFigure{Scale: sc}
-	for _, clients := range sc.Clients {
-		for _, v := range transportVariants() {
-			cell, err := runTransportCell(v, clients, sc, cert, pool)
-			if err != nil {
-				return nil, fmt.Errorf("transports (%s, %d clients): %w", v.name, clients, err)
-			}
-			fig.Cells = append(fig.Cells, *cell)
-			if progress != nil {
-				progress(fmt.Sprintf("[fig transports] %-22s %4d clients: %s%s",
-					v.name, clients, cell.Result, cell.tlsSuffix()))
-			}
-		}
-	}
-	return fig, nil
-}
-
-// runTransportCell runs one fresh server + workload pair. TLS cells arm
-// resumption on both sides: the server issues session tickets (with a
-// rotating key, exercising the rotation path under load) and the phone
-// fleet shares one client session cache so per-call reconnects resume.
-func runTransportCell(v transportVariant, clients int, sc Scale, cert tls.Certificate, pool *x509.CertPool) (*TransportCell, error) {
-	w := Workload{Name: v.name, Transport: v.transport, OpsPerConn: v.opsPerConn}
-	cfg := baseConfig(w, sc)
-	cfg.FDCache = true
-	cfg.ConnMgr = connmgr.KindPQueue
-	if v.transport == transport.UDP {
-		cfg.ConnMgr = connmgr.KindScan // UDP has no connections to manage
-		cfg.FDCache = false
-	}
-	var fleetTLS *transport.TLSContext
-	if v.transport == transport.TLS {
-		cfg.TLS = &core.TLSSettings{
-			Cert:         cert,
-			RootCAs:      pool,
-			Resume:       v.resume,
-			TicketRotate: 30 * time.Second,
-		}
-		var err error
-		fleetTLS, err = transport.NewTLSContext(transport.TLSOptions{
-			Cert:    cert,
-			RootCAs: pool,
-			Resume:  v.resume,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*clients, cfg.Domain)
-
-	res, err := loadgen.Run(loadgen.Config{
-		Transport:       w.Transport,
-		TLS:             fleetTLS,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
-		Pairs:           clients,
-		CallsPerCaller:  sc.CallsPerCaller,
-		OpsPerConn:      w.OpsPerConn,
-		ResponseTimeout: sc.ResponseTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap := srv.Profile().Snapshot()
-	return &TransportCell{
-		Name:           v.name,
-		Clients:        clients,
-		Result:         res,
-		FullHandshakes: snap.Counters[metrics.MetricTLSFullHandshakes],
-		Resumptions:    snap.Counters[metrics.MetricTLSResumptions],
-		PinnedSends:    snap.Counters[metrics.MetricTLSPinnedSends],
-		Handshake:      snap.Histograms[metrics.StageHandshake],
-		Snapshot:       snap,
-	}, nil
-}
-
-// cell returns the measurement for (name, clients), or nil.
-func (f *TransportFigure) cell(name string, clients int) *TransportCell {
-	for i := range f.Cells {
-		if f.Cells[i].Name == name && f.Cells[i].Clients == clients {
-			return &f.Cells[i]
-		}
-	}
-	return nil
-}
-
-// Throughput returns ops/s for (variant name, clients), or 0.
-func (f *TransportFigure) Throughput(name string, clients int) float64 {
-	if c := f.cell(name, clients); c != nil {
-		return c.Result.Throughput
-	}
-	return 0
-}
-
-// OfTCPPersistent returns a variant's throughput as a percentage of the TCP
-// persistent column at the same client count — the convergence number the
-// amortization story is judged on.
-func (f *TransportFigure) OfTCPPersistent(name string, clients int) float64 {
-	base := f.Throughput("TCP persistent", clients)
-	if base <= 0 {
-		return 0
-	}
-	return 100 * f.Throughput(name, clients) / base
-}
-
-func (f *TransportFigure) names() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, c := range f.Cells {
-		if !seen[c.Name] {
-			seen[c.Name] = true
-			names = append(names, c.Name)
-		}
-	}
-	return names
-}
-
-// Table renders the matrix as text: ops/s per cell, each stream variant as
-// a percentage of TCP persistent, and the TLS handshake accounting.
-func (f *TransportFigure) Table() string {
-	var b strings.Builder
-	b.WriteString("Figure transports: UDP/TCP/TLS matrix (ops/s)\n")
-	fmt.Fprintf(&b, "%-28s", "variant")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, "%14s", fmt.Sprintf("%d clients", c))
-	}
-	b.WriteByte('\n')
-	for _, name := range f.names() {
-		fmt.Fprintf(&b, "%-28s", name)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, "%14.0f", f.Throughput(name, c))
-		}
-		b.WriteByte('\n')
-	}
-	for _, name := range f.names() {
-		if name == "UDP" || name == "TCP persistent" {
-			continue
-		}
-		fmt.Fprintf(&b, "%-28s", name+" /TCPp")
-		for _, c := range f.Scale.Clients {
-			if pct := f.OfTCPPersistent(name, c); pct > 0 {
-				fmt.Fprintf(&b, "%13.0f%%", pct)
-			} else {
-				fmt.Fprintf(&b, "%14s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(f.handshakeLines())
-	return b.String()
-}
-
-// handshakeLines summarizes the TLS cells' handshake accounting.
-func (f *TransportFigure) handshakeLines() string {
-	var b strings.Builder
-	for _, c := range f.Cells {
-		if c.FullHandshakes == 0 && c.Resumptions == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-28s %4d clients: %d full + %d resumed handshakes (p50=%v p99=%v), %d pinned sends, %d reconnects\n",
-			c.Name, c.Clients, c.FullHandshakes, c.Resumptions,
-			c.Handshake.P50().Round(time.Microsecond),
-			c.Handshake.P99().Round(time.Microsecond),
-			c.PinnedSends, c.Result.Reconnects)
-	}
-	return b.String()
-}
-
-// Markdown renders the matrix for EXPERIMENTS.md: throughput columns plus
-// the %-of-TCP-persistent convergence column at the largest client count.
-func (f *TransportFigure) Markdown() string {
-	var b strings.Builder
-	big := 0
-	if n := len(f.Scale.Clients); n > 0 {
-		big = f.Scale.Clients[n-1]
-	}
-	b.WriteString("| variant |")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, " %d clients |", c)
-	}
-	fmt.Fprintf(&b, " %% of TCP persistent @%d | handshakes (full/resumed) |\n|---|", big)
-	for range f.Scale.Clients {
-		b.WriteString("---|")
-	}
-	b.WriteString("---|---|\n")
-	for _, name := range f.names() {
-		fmt.Fprintf(&b, "| %s |", name)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, " %.0f |", f.Throughput(name, c))
-		}
-		if name == "UDP" || name == "TCP persistent" {
-			b.WriteString(" — |")
-		} else if pct := f.OfTCPPersistent(name, big); pct > 0 {
-			fmt.Fprintf(&b, " %.0f%% |", pct)
-		} else {
-			b.WriteString(" — |")
-		}
-		if cell := f.cell(name, big); cell != nil && (cell.FullHandshakes > 0 || cell.Resumptions > 0) {
-			fmt.Fprintf(&b, " %d/%d |\n", cell.FullHandshakes, cell.Resumptions)
-		} else {
-			b.WriteString(" — |\n")
-		}
-	}
-	return b.String()
+	c.TLS.Cert, c.TLS.RootCAs = cert, pool
+	lc.TLS, err = transport.NewTLSContext(transport.TLSOptions{Cert: cert, RootCAs: pool, Resume: c.TLS.Resume})
+	return err
 }

@@ -373,10 +373,13 @@ const GaugeOpenConns = "conn.open"
 // resident timer population, and how many of those residents are cancelled
 // corpses awaiting their deadline. The heap policy lets the second climb
 // with retransmission-timer churn; the wheel policy pins it at zero by
-// reclaiming slots on cancel.
+// reclaiming slots on cancel. Scheduled and fired are the lifetime counts
+// (fired ≤ scheduled).
 const (
 	GaugeTimersPending           = "timers.pending"
 	GaugeTimersCancelledResident = "timers.cancelled_resident"
+	GaugeTimersScheduled         = "timers.scheduled"
+	GaugeTimersFired             = "timers.fired"
 )
 
 // Registrar gauges (registered via SetGauge): live binding population and

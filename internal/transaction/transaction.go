@@ -494,13 +494,13 @@ func (tb *Table) SetForwarded(tx *Transaction, downKey string, fwd *sipmsg.Messa
 	sh.mu.Unlock()
 }
 
-// MatchResponse finds the transaction whose forwarded branch produced this
-// response key, or nil.
-func (tb *Table) MatchResponse(downKey string) *Transaction {
-	sh := tb.shardFor(downKey)
+// Match returns the transaction indexed under key, or nil: a request's
+// upstream key, or the key of a response to its forwarded branch.
+func (tb *Table) Match(key string) *Transaction {
+	sh := tb.shardFor(key)
 	tb.lock(sh)
 	defer sh.mu.Unlock()
-	return sh.m[downKey]
+	return sh.m[key]
 }
 
 // MatchParts looks up the transaction keyed by branch and method without
@@ -530,9 +530,6 @@ func (tb *Table) MatchParts(branch string, method sipmsg.Method) *Transaction {
 	defer sh.mu.Unlock()
 	return sh.m[string(buf)]
 }
-
-// Match returns any transaction indexed under key, or nil.
-func (tb *Table) Match(key string) *Transaction { return tb.MatchResponse(key) }
 
 // ClientTimerHandler is the TU's side of a transaction's client timers. The
 // table calls it from the timer goroutine, holding none of its locks. One

@@ -105,7 +105,7 @@ func TestMatchResponseViaForwardedKey(t *testing.T) {
 		Params: map[string]string{"branch": sipmsg.NewBranch()}}.String())
 	tb.SetForwarded(tx, key(t, fwd), fwd, nil)
 
-	if got := tb.MatchResponse(key(t, fwd)); got != tx {
+	if got := tb.Match(key(t, fwd)); got != tx {
 		t.Error("response did not match via forwarded key")
 	}
 	if tx.Forwarded() != fwd {
