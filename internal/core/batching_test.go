@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net"
 	"testing"
 
 	"gosip/internal/metrics"
@@ -82,9 +81,9 @@ func TestThreadedServerCoalescedEndToEnd(t *testing.T) {
 }
 
 // TestUDPSendAllocs pins the steady-state UDP send path at zero
-// allocations: the wire image is cached on the message, the destination
-// comes from the resolve cache, and the socket write is the netip-based
-// allocation-free variant.
+// allocations: the message renders into a pooled buffer, a literal
+// destination is parsed in place, and the socket write takes the netip
+// value as it is.
 func TestUDPSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -97,8 +96,7 @@ func TestUDPSendAllocs(t *testing.T) {
 	defer sink.Close()
 	dst := sink.LocalAddr().String()
 	m := udpTestMsg()
-	// Warm the caches: first Serialize builds the wire image, first ToAddr
-	// populates the resolve cache.
+	// Warm the render buffer pool.
 	if err := s.ToAddr("UDP", dst, m); err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +107,8 @@ func TestUDPSendAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("UDP send allocates %.1f/op, want 0", got)
 	}
-	// ToOrigin takes the already-resolved address and must be free too.
-	addr, err := net.ResolveUDPAddr("udp", dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// ToOrigin takes the source address a receive boxed and must be free too.
+	addr := any(sink.LocalAddr())
 	if got := testing.AllocsPerRun(500, func() {
 		if err := s.ToOrigin(addr, m); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"net"
+	"net/netip"
 	"strconv"
 	"testing"
 	"time"
@@ -20,7 +20,7 @@ import (
 // phone's retry/backoff machinery in the way.
 type rawUDPClient struct {
 	sock  *transport.UDPSocket
-	proxy *net.UDPAddr
+	proxy netip.AddrPort
 }
 
 func newRawUDPClient(t *testing.T, proxyAddr string) *rawUDPClient {
@@ -30,7 +30,7 @@ func newRawUDPClient(t *testing.T, proxyAddr string) *rawUDPClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sock.Close() })
-	dst, err := net.ResolveUDPAddr("udp", proxyAddr)
+	dst, err := netip.ParseAddrPort(proxyAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func (c *rawUDPClient) invite(t *testing.T, callee, callID string) {
 		To:         sipmsg.NameAddr{URI: sipmsg.URI{User: callee, Host: testDomain}},
 		CallID:     callID,
 		CSeq:       1,
-		Via:        sipmsg.Via{Transport: "UDP", Host: la.IP.String(), Port: la.Port},
-		Contact:    &sipmsg.NameAddr{URI: sipmsg.URI{User: "rawcaller", Host: la.IP.String(), Port: la.Port}},
+		Via:        sipmsg.Via{Transport: "UDP", Host: la.Addr().String(), Port: int(la.Port())},
+		Contact:    &sipmsg.NameAddr{URI: sipmsg.URI{User: "rawcaller", Host: la.Addr().String(), Port: int(la.Port())}},
 	})
 	if err := c.sock.WriteTo(req.Serialize(), c.proxy); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestUDPOverloadAdmissionRejects(t *testing.T) {
 	defer sink.Close()
 	sa := sink.LocalAddr()
 	srv.Location().Register("sink@"+testDomain, location.Binding{
-		Contact:   sipmsg.URI{User: "sink", Host: sa.IP.String(), Port: sa.Port},
+		Contact:   sipmsg.URI{User: "sink", Host: sa.Addr().String(), Port: int(sa.Port())},
 		Transport: string(transport.UDP),
 	}, time.Hour, time.Now())
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestMalformedUDPDatagramsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	dst, _ := net.ResolveUDPAddr("udp", srv.Addr())
+	dst := netip.MustParseAddrPort(srv.Addr())
 	for _, garbage := range [][]byte{
 		[]byte("not sip at all"),
 		[]byte("INVITE\r\n\r\n"),

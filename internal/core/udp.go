@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"gosip/internal/location"
@@ -42,12 +43,13 @@ type udpServer struct {
 	closed chan struct{}
 }
 
-// resolveCache memoizes hostport → UDP address resolution. One cache is
+// resolveCache memoizes name → UDP address resolution. One cache is
 // shared by every sender of a server, so the hit rate is unaffected by
-// which worker handles a message.
+// which worker handles a message. Literal "ip:port" targets — a binding's
+// Source, a Via sent-by — never reach it: only names need a lookup.
 type resolveCache struct {
 	mu    sync.RWMutex
-	addrs map[string]*net.UDPAddr
+	addrs map[string]netip.AddrPort
 
 	hits   *metrics.Counter
 	misses *metrics.Counter
@@ -55,18 +57,18 @@ type resolveCache struct {
 
 func newResolveCache(prof *metrics.Profile) *resolveCache {
 	return &resolveCache{
-		addrs:  make(map[string]*net.UDPAddr),
+		addrs:  make(map[string]netip.AddrPort),
 		hits:   prof.Counter(metrics.MetricResolveHit),
 		misses: prof.Counter(metrics.MetricResolveMiss),
 	}
 }
 
 // maxResolveCache bounds the resolve cache: legitimate workloads touch a
-// handful of peer addresses, so the bound only matters under hostile
-// traffic that varies the destination per message.
+// handful of peer names, so the bound only matters under hostile traffic
+// that varies the destination per message.
 const maxResolveCache = 4096
 
-func (rc *resolveCache) resolve(hostport string) (*net.UDPAddr, error) {
+func (rc *resolveCache) resolve(hostport string) (netip.AddrPort, error) {
 	rc.mu.RLock()
 	a, ok := rc.addrs[hostport]
 	rc.mu.RUnlock()
@@ -75,10 +77,11 @@ func (rc *resolveCache) resolve(hostport string) (*net.UDPAddr, error) {
 		return a, nil
 	}
 	rc.misses.Inc()
-	a, err := net.ResolveUDPAddr("udp", hostport)
+	ua, err := net.ResolveUDPAddr("udp", hostport)
 	if err != nil {
-		return nil, err
+		return netip.AddrPort{}, err
 	}
+	a = ua.AddrPort()
 	rc.mu.Lock()
 	if len(rc.addrs) >= maxResolveCache {
 		// Evict one arbitrary entry; random replacement keeps the hot
@@ -108,7 +111,7 @@ type udpSender struct {
 // send is the single exit for all UDP transmissions: the message is
 // rendered into a pooled buffer that goes either to the egress queue (which
 // copies it) or straight to the socket, and is recycled on return.
-func (s *udpSender) send(m *sipmsg.Message, addr *net.UDPAddr) error {
+func (s *udpSender) send(m *sipmsg.Message, addr netip.AddrPort) error {
 	if s.faults.dropTx() {
 		return nil // silently lost in the simulated network
 	}
@@ -121,7 +124,7 @@ func (s *udpSender) send(m *sipmsg.Message, addr *net.UDPAddr) error {
 }
 
 func (s *udpSender) ToOrigin(origin any, m *sipmsg.Message) error {
-	addr, ok := origin.(*net.UDPAddr)
+	addr, ok := origin.(netip.AddrPort)
 	if !ok {
 		return fmt.Errorf("core: UDP origin is %T", origin)
 	}
@@ -138,10 +141,14 @@ func (s *udpSender) ToBinding(b location.Binding, m *sipmsg.Message) error {
 	return s.ToAddr(b.Transport, target, m)
 }
 
+// ToAddr sends to a literal "ip:port" as it stands — parsed in place, no
+// lock, no map — and looks a name up through the shared cache.
 func (s *udpSender) ToAddr(_ string, hostport string, m *sipmsg.Message) error {
-	addr, err := s.cache.resolve(hostport)
+	addr, err := netip.ParseAddrPort(hostport)
 	if err != nil {
-		return err
+		if addr, err = s.cache.resolve(hostport); err != nil {
+			return err
+		}
 	}
 	return s.send(m, addr)
 }
@@ -163,7 +170,7 @@ func newUDPServer(cfg Config) (Server, error) {
 	}
 
 	local := socks[0].LocalAddr()
-	engine := proxy.NewEngine(sub.engineConfig(transport.UDP, local.IP.String(), local.Port), sub.loc, sub.db, sub.txns, sub.prof)
+	engine := proxy.NewEngine(sub.engineConfig(transport.UDP, local.Addr().String(), int(local.Port())), sub.loc, sub.db, sub.txns, sub.prof)
 	faults := newFaultGate(cfg.Faults)
 	cache := newResolveCache(sub.prof)
 	batching := cfg.UDPBatch > 1
@@ -204,9 +211,10 @@ func newUDPServer(cfg Config) (Server, error) {
 }
 
 // process runs the shared per-datagram path: fault gate, parse, admission,
-// engine. pkt.Data is consumed before process returns (the parser copies);
-// pkt.Src is freshly allocated per datagram and may be retained by the
-// engine as the transaction origin.
+// engine. pkt.Data is consumed before process returns (the parser copies).
+// pkt.Src is a value; a request's is boxed as its origin, which the engine
+// may keep as the transaction's, and a response, which is routed by its
+// Via and needs no origin, costs no box at all.
 func (s *udpServer) process(sender *udpSender, pkt transport.Packet) {
 	if s.faults.dropRx() {
 		return
@@ -215,13 +223,17 @@ func (s *udpServer) process(sender *udpSender, pkt transport.Packet) {
 	if !ok {
 		return
 	}
+	var origin any
+	if m.IsRequest {
+		origin = pkt.Src
+	}
 	// Admission control runs before any transaction or database work: a
 	// rejected request costs one 503 serialization and nothing else.
-	if !s.sub.admit(sender, m, pkt.Src, 0) {
+	if !s.sub.admit(sender, m, origin, 0) {
 		m.Release()
 		return
 	}
-	s.sub.handleTimed(s.engine, sender, m, pkt.Src)
+	s.sub.handleTimed(s.engine, sender, m, origin)
 	// The engine retained the message if it needed it (transaction store);
 	// the worker's reference is done.
 	m.Release()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"strconv"
 	"syscall"
@@ -48,19 +49,65 @@ func TestUDPSenderToOriginRejectsWrongType(t *testing.T) {
 
 func TestUDPSenderResolveCache(t *testing.T) {
 	s, _ := newTestSender(t)
-	a1, err := s.cache.resolve("127.0.0.1:5060")
+	a1, err := s.cache.resolve("localhost:5060")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.cache.resolve("127.0.0.1:5060")
+	a2, err := s.cache.resolve("localhost:5060")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1 != a2 {
-		t.Error("resolve not cached (distinct pointers)")
+	if a1 != a2 || !a1.Addr().IsLoopback() || a1.Port() != 5060 {
+		t.Errorf("localhost:5060 resolved to %v, then %v", a1, a2)
+	}
+	if hits, misses := s.cache.hits.Value(), s.cache.misses.Value(); hits != 1 || misses != 1 {
+		t.Errorf("%d hits, %d misses; want the second lookup served from the cache", hits, misses)
 	}
 	if _, err := s.cache.resolve("bad::addr::1:2:3:x"); err == nil {
 		t.Error("bad address resolved")
+	}
+}
+
+// TestUDPSenderLiteralSkipsResolveCache: a literal ip:port — a binding's
+// Source, a Via sent-by — is sent to as it stands, so the resolve cache
+// counts name lookups only; a name still resolves and still delivers.
+func TestUDPSenderLiteralSkipsResolveCache(t *testing.T) {
+	s, _ := newTestSender(t)
+	peer, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	receive := func(what string) {
+		t.Helper()
+		peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+		pkt, err := peer.ReadPacket()
+		if err != nil {
+			t.Fatalf("%s: nothing arrived: %v", what, err)
+		}
+		peer.Release(pkt)
+	}
+
+	literal := peer.LocalAddr().String()
+	if err := s.ToAddr("UDP", literal, udpTestMsg()); err != nil {
+		t.Fatal(err)
+	}
+	receive("ToAddr " + literal)
+	if err := s.ToBinding(location.Binding{Transport: "UDP", Source: literal}, udpTestMsg()); err != nil {
+		t.Fatal(err)
+	}
+	receive("ToBinding with Source " + literal)
+	if hits, misses := s.cache.hits.Value(), s.cache.misses.Value(); hits != 0 || misses != 0 {
+		t.Errorf("literal sends counted %d resolve hits and %d misses, want 0 and 0", hits, misses)
+	}
+
+	name := fmt.Sprintf("localhost:%d", peer.LocalAddr().Port())
+	if err := s.ToAddr("UDP", name, udpTestMsg()); err != nil {
+		t.Fatal(err)
+	}
+	receive("ToAddr " + name)
+	if misses := s.cache.misses.Value(); misses != 1 {
+		t.Errorf("a name send counted %d resolve misses, want 1", misses)
 	}
 }
 
@@ -182,7 +229,7 @@ func TestUDPServerRefusesTakenPort(t *testing.T) {
 }
 
 // udpRegister renders a REGISTER of user from the client socket at la.
-func udpRegister(la *net.UDPAddr, user string, cseq int) []byte {
+func udpRegister(la netip.AddrPort, user string, cseq int) []byte {
 	return sipmsg.NewRequest(sipmsg.RequestSpec{
 		Method:     sipmsg.REGISTER,
 		RequestURI: sipmsg.URI{Host: testDomain},
@@ -193,8 +240,8 @@ func udpRegister(la *net.UDPAddr, user string, cseq int) []byte {
 		To:      sipmsg.NameAddr{URI: sipmsg.URI{User: user, Host: testDomain}},
 		CallID:  "order-" + user,
 		CSeq:    uint32(cseq),
-		Via:     sipmsg.Via{Transport: "UDP", Host: la.IP.String(), Port: la.Port},
-		Contact: &sipmsg.NameAddr{URI: sipmsg.URI{User: user, Host: la.IP.String(), Port: la.Port}},
+		Via:     sipmsg.Via{Transport: "UDP", Host: la.Addr().String(), Port: int(la.Port())},
+		Contact: &sipmsg.NameAddr{URI: sipmsg.URI{User: user, Host: la.Addr().String(), Port: int(la.Port())}},
 		Expires: 60,
 	}).Serialize()
 }
@@ -209,7 +256,7 @@ func TestUDPPipelinedOrder(t *testing.T) {
 	}
 	const total, window = 200, 32
 	srv := startServer(t, Config{Arch: ArchUDP, Workers: 8})
-	dst, err := net.ResolveUDPAddr("udp", srv.Addr())
+	dst, err := netip.ParseAddrPort(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

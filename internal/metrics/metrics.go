@@ -288,8 +288,8 @@ const (
 	MetricDBLookupTime     = "userdb.lookup"
 	MetricLocLockWait      = "lock.location" // contended wait on location-service shard locks
 	MetricParseErrors      = "proxy.parse_errors"
-	MetricResolveHit       = "udp.resolve_hits"   // UDP destination-address resolve cache hits
-	MetricResolveMiss      = "udp.resolve_misses" // UDP destination-address resolve cache misses
+	MetricResolveHit       = "udp.resolve_hits"   // UDP destination names found in the resolve cache (literal ip:port targets skip it)
+	MetricResolveMiss      = "udp.resolve_misses" // UDP destination names looked up by the resolver (literal ip:port targets skip it)
 
 	// Overload-control counters (internal/overload): every new INVITE the
 	// admission controller saw, and the split into admitted vs

@@ -201,7 +201,7 @@ func (p *Phone) Contact() sipmsg.URI {
 func (p *Phone) localAddr() (string, int) {
 	if p.udp != nil {
 		a := p.udp.sock.LocalAddr()
-		return a.IP.String(), a.Port
+		return a.Addr().String(), int(a.Port())
 	}
 	return p.tcp.listenHost, p.tcp.listenPort
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,7 @@ import (
 type udpEndpoint struct {
 	cfg   Config
 	sock  *transport.UDPSocket
-	proxy *net.UDPAddr
+	proxy netip.AddrPort
 
 	looping atomic.Bool // the answering loop owns reads
 	resps   chan *sipmsg.Message
@@ -53,7 +54,7 @@ func newUDPEndpoint(cfg Config) (*udpEndpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	proxy, err := net.ResolveUDPAddr("udp", cfg.ProxyAddr)
+	proxy, err := resolveUDP(cfg.ProxyAddr)
 	if err != nil {
 		sock.Close()
 		return nil, err
@@ -74,15 +75,24 @@ func (e *udpEndpoint) send(m *sipmsg.Message) error {
 // explicit destination (a redirect target).
 type udpLeg struct {
 	e   *udpEndpoint
-	dst *net.UDPAddr
+	dst netip.AddrPort
 }
 
 func (e *udpEndpoint) directLeg(target string) (*udpLeg, error) {
-	dst, err := net.ResolveUDPAddr("udp", target)
+	dst, err := resolveUDP(target)
 	if err != nil {
 		return nil, err
 	}
 	return &udpLeg{e: e, dst: dst}, nil
+}
+
+// resolveUDP resolves a "host:port" UDP target once, at setup.
+func resolveUDP(hostport string) (netip.AddrPort, error) {
+	a, err := net.ResolveUDPAddr("udp", hostport)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return a.AddrPort(), nil
 }
 
 func (l *udpLeg) request(req *sipmsg.Message, method sipmsg.Method, stats *Stats) (*sipmsg.Message, error) {
@@ -103,7 +113,7 @@ func (e *udpEndpoint) request(req *sipmsg.Message, method sipmsg.Method, stats *
 	return e.requestTo(req, method, stats, e.proxy)
 }
 
-func (e *udpEndpoint) requestTo(req *sipmsg.Message, method sipmsg.Method, stats *Stats, dst *net.UDPAddr) (*sipmsg.Message, error) {
+func (e *udpEndpoint) requestTo(req *sipmsg.Message, method sipmsg.Method, stats *Stats, dst netip.AddrPort) (*sipmsg.Message, error) {
 	callID := req.CallID()
 	seq, _, err := req.CSeq()
 	if err != nil {
@@ -181,11 +191,12 @@ func (e *udpEndpoint) readResponse(deadline time.Time) (*sipmsg.Message, error) 
 // §13.3.1.4 puts 2xx retransmission on the UAS core, not the transaction
 // layer — the proxy absorbs retransmitted INVITEs instead of relaying
 // them, so a 200 lost between callee and proxy is only ever recovered by
-// the callee resending it on a doubling schedule until the ACK lands.
+// the callee resending it on a doubling schedule until the ACK lands. The
+// proxy relays each resend to the caller.
 type pending2xx struct {
 	callID   string
 	wire     []byte
-	dst      *net.UDPAddr
+	dst      netip.AddrPort
 	deadline time.Time
 	interval time.Duration
 	tries    int
@@ -297,7 +308,7 @@ func (e *udpEndpoint) startAnswering() {
 			// provisional and final share one sendmmsg where available.
 			e.dgs = e.dgs[:0]
 			var final *sipmsg.Message
-			for _, resp := range answer(m, e.cfg.User, sipmsg.URI{User: e.cfg.User, Host: "127.0.0.1", Port: e.sock.LocalAddr().Port}) {
+			for _, resp := range answer(m, e.cfg.User, sipmsg.URI{User: e.cfg.User, Host: "127.0.0.1", Port: int(e.sock.LocalAddr().Port())}) {
 				e.dgs = append(e.dgs, transport.Datagram{Data: resp.Serialize(), Dst: src})
 				if resp.StatusCode >= 200 {
 					final = resp

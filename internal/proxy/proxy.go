@@ -187,12 +187,17 @@ func (e *Engine) SetTimerSender(s Sender) { e.timerSender = s }
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// newVia renders this proxy's Via header value with a fresh branch, in one
-// string: the branch is a view into the value.
-func (e *Engine) newVia() (via, branch string) {
-	var b [96]byte
-	via = string(sipmsg.AppendBranch(append(b[:0], e.viaPrefix...)))
-	return via, via[len(e.viaPrefix):]
+// newVia renders this proxy's Via header value with a fresh branch and the
+// key the downstream responses of a request with CSeq method come back
+// under, in one string: the Via is its head, and the key, in
+// sipmsg.JoinTransactionKey's "branch|METHOD" form, its tail.
+func (e *Engine) newVia(method sipmsg.Method) (via, key string) {
+	var b [128]byte
+	buf := sipmsg.AppendBranch(append(b[:0], e.viaPrefix...))
+	end := len(buf)
+	buf = append(append(buf, '|'), sipmsg.TransactionMethod(method)...)
+	s := string(buf)
+	return s[:end], s[len(e.viaPrefix):]
 }
 
 // txTrace returns the timeline of the request that created tx (nil when the
@@ -510,8 +515,8 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 	// Build the forwarded request: decrement Max-Forwards, push our Via.
 	// The responses come back keyed on our branch and the CSeq method.
 	recordRoute := e.cfg.RecordRoute && m.Method == sipmsg.INVITE
-	fwd, branch := e.forwardCopy(m, maxForwards, recordRoute)
-	e.txns.SetForwarded(tx, sipmsg.JoinTransactionKey(branch, cseqMethod), fwd, binding)
+	fwd, downKey := e.forwardCopy(m, cseqMethod, maxForwards, recordRoute)
+	e.txns.SetForwarded(tx, downKey, fwd, binding)
 
 	if err := e.sendToBinding(s, binding, fwd); err != nil {
 		e.finalizeLocal(s, tx, m, sipmsg.StatusServiceUnavail)
@@ -566,9 +571,10 @@ func (e *Engine) RequestTimedOut(tx *transaction.Transaction) {
 
 // forwardCopy builds the copy of request m that goes downstream — Max-Forwards
 // decremented, this proxy's Via (and Record-Route) on top — and returns it
-// with the branch of that Via. The copy's header slice is allocated once,
-// with room for what is pushed onto it.
-func (e *Engine) forwardCopy(m *sipmsg.Message, maxForwards int, recordRoute bool) (fwd *sipmsg.Message, branch string) {
+// with the transaction key its responses will carry (see newVia), for CSeq
+// method cseqMethod. The copy's header slice is allocated once, with room
+// for what is pushed onto it.
+func (e *Engine) forwardCopy(m *sipmsg.Message, cseqMethod sipmsg.Method, maxForwards int, recordRoute bool) (fwd *sipmsg.Message, downKey string) {
 	extra := 1
 	if recordRoute {
 		extra = 2
@@ -576,12 +582,12 @@ func (e *Engine) forwardCopy(m *sipmsg.Message, maxForwards int, recordRoute boo
 	fwd = m.CloneWithHeadroom(extra)
 	borrowTrace(fwd, m)
 	fwd.Set("Max-Forwards", strconv.Itoa(maxForwards-1)) // no allocation below 100
-	via, branch := e.newVia()
+	via, downKey := e.newVia(cseqMethod)
 	fwd.Prepend("Via", via)
 	if recordRoute {
 		fwd.Prepend("Record-Route", sipmsg.NameAddr{URI: e.ownRouteURI()}.String())
 	}
-	return fwd, branch
+	return fwd, downKey
 }
 
 // finalizeLocal completes the transaction with a final response generated
@@ -706,7 +712,7 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message, origin any) {
 		e.drops.Inc()
 		return
 	}
-	fwd, _ := e.forwardCopy(m, maxForwards, false)
+	fwd, _ := e.forwardCopy(m, m.Method, maxForwards, false)
 	if origin != nil && e.cfg.ViaTransport != "UDP" {
 		stampReceived(fwd, origin)
 	}
@@ -774,8 +780,9 @@ func responseTarget(v sipmsg.Via) string {
 
 // handleResponse pops our Via and forwards the response upstream — or
 // absorbs it, as the client machine directs: downstream 100s are hop-by-hop
-// (§16.7), retransmitted finals were already answered, and non-2xx INVITE
-// finals are ACKed downstream by the transaction layer itself.
+// (§16.7), retransmitted non-2xx finals were already answered, and non-2xx
+// INVITE finals are ACKed downstream by the transaction layer itself. A
+// retransmitted INVITE 2xx is relayed like the first.
 func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 	branch, err := m.TopViaBranch()
 	if err != nil || branch == "" {
@@ -855,6 +862,10 @@ func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 		// but the upstream replay is Timer G's job, not this response's.
 		e.ackDownstream(s, tx, fwd)
 		e.absorbed.Inc()
+	case transaction.RespRelay2xx:
+		// The callee resends its 2xx until the caller's ACK reaches it;
+		// only the caller can stop that, so the 2xx goes to it every time.
+		e.sendToOrigin(s, tx.Origin, fwd)
 	default: // RespAbsorb
 		e.absorbed.Inc()
 	}

@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -338,7 +339,7 @@ func TestStatelessForwarding(t *testing.T) {
 		origin     any
 		wantTarget string
 	}{
-		{"UDP", &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 5071}, "10.0.0.1:5071"},
+		{"UDP", netip.MustParseAddrPort("10.0.0.1:5071"), "10.0.0.1:5071"},
 		{"TCP", &net.TCPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 40001}, "10.0.0.1:40001"},
 	} {
 		t.Run(tc.transport, func(t *testing.T) {
@@ -521,18 +522,90 @@ func TestRedirectMode(t *testing.T) {
 	}
 }
 
+// TestDuplicateFinalResponseDropped: a retransmitted final the transaction
+// has already answered upstream with goes no further — a non-2xx INVITE
+// final (re-ACKed downstream instead) and a non-INVITE 200 alike. A
+// retransmitted INVITE 2xx is the exception (TestRetransmitted2xxRelayed).
 func TestDuplicateFinalResponseDropped(t *testing.T) {
 	v := newEnv(t, true, false)
 	v.registerUser(1, "10.0.0.2", 5072)
 	s := &fakeSender{}
 	v.engine.Handle(s, invite(0, 1), "o")
-	fwd := s.addrMsgs()[0].msg
-	ok200 := sipmsg.NewResponse(fwd, sipmsg.StatusOK, "g")
-	v.engine.Handle(s, ok200, nil)
+	inv := s.addrMsgs()[0].msg
+	busy := sipmsg.NewResponse(inv, sipmsg.StatusBusyHere, "g")
+	v.engine.Handle(s, busy, nil)
 	upCount := len(s.originMsgs())
-	v.engine.Handle(s, ok200.Clone(), nil) // duplicate final
+	v.engine.Handle(s, busy.Clone(), nil) // duplicate final
 	if len(s.originMsgs()) != upCount {
-		t.Error("duplicate final response forwarded twice")
+		t.Error("duplicate 486 forwarded twice")
+	}
+
+	bye := invite(0, 1)
+	bye.Method = sipmsg.BYE
+	bye.Set("CSeq", "2 BYE")
+	v.engine.Handle(s, bye, "o")
+	addrs := s.addrMsgs()
+	ok200 := sipmsg.NewResponse(addrs[len(addrs)-1].msg, sipmsg.StatusOK, "g")
+	v.engine.Handle(s, ok200, nil)
+	upCount = len(s.originMsgs())
+	v.engine.Handle(s, ok200.Clone(), nil)
+	if len(s.originMsgs()) != upCount {
+		t.Error("duplicate BYE 200 forwarded twice")
+	}
+}
+
+// TestRetransmitted2xxRelayed pins RFC 3261 §16.7 step 1 and §17.1.1.2: a
+// 2xx terminates the INVITE client leg, and every retransmission of it
+// (the callee resends until the caller's ACK reaches it) is forwarded
+// upstream like the first, with our Via popped — without touching the
+// lingering transaction, which still replays the first 200 to a
+// retransmitted INVITE and arms no timer.
+func TestRetransmitted2xxRelayed(t *testing.T) {
+	v := newEnv(t, true, false)
+	v.engine.SetTimerSender(&fakeSender{}) // the forward arms Timers A and B
+	v.registerUser(1, "10.0.0.2", 5072)
+	s := &fakeSender{}
+	req := invite(0, 1)
+	v.engine.Handle(s, req, "caller")
+	fwd := s.addrMsgs()[0].msg
+	ok200 := sipmsg.NewResponse(fwd, sipmsg.StatusOK, "callee")
+	v.engine.Handle(s, ok200, nil)
+	k, _ := req.TransactionKey()
+	tx := v.txns.Match(k)
+	if tx == nil || tx.State() != transaction.StateCompleted {
+		t.Fatalf("setup: transaction not completed: %v", tx)
+	}
+	timers := v.timers.Len() - int(v.timers.CancelledResident())
+	first := s.originMsgs()[len(s.originMsgs())-1].msg
+
+	for i := 0; i < 2; i++ {
+		upBefore, downBefore := len(s.originMsgs()), len(s.addrMsgs())
+		v.engine.Handle(s, ok200.Clone(), nil)
+		origins := s.originMsgs()
+		if len(origins) != upBefore+1 {
+			t.Fatalf("retransmission %d of the 200 sent %d messages upstream, want 1", i+1, len(origins)-upBefore)
+		}
+		relayed := origins[len(origins)-1]
+		if relayed.origin != "caller" || relayed.msg.StatusCode != sipmsg.StatusOK {
+			t.Errorf("relayed %d to %v, want the 200 to the caller", relayed.msg.StatusCode, relayed.origin)
+		}
+		if got, want := relayed.msg.String(), first.String(); got != want {
+			t.Errorf("relayed 200 is\n%s\nwant the first one's text (our Via popped)\n%s", got, want)
+		}
+		if len(s.addrMsgs()) != downBefore {
+			t.Error("a relayed 200 sent something downstream")
+		}
+	}
+	if tx.State() != transaction.StateCompleted || v.txns.Pending() != 0 {
+		t.Errorf("relaying changed the transaction: state %v, %d pending", tx.State(), v.txns.Pending())
+	}
+	if got := v.timers.Len() - int(v.timers.CancelledResident()); got != timers {
+		t.Errorf("%d live timers after the relays, %d before", got, timers)
+	}
+	v.engine.Handle(s, req, "caller")
+	origins := s.originMsgs()
+	if last := origins[len(origins)-1].msg; last.String() != first.String() {
+		t.Errorf("a retransmitted INVITE replayed %d, want the first 200", last.StatusCode)
 	}
 }
 

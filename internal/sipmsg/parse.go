@@ -46,24 +46,60 @@ func Parse(data []byte) (*Message, error) {
 	m := Get()
 	// The single copy: everything before the blank line becomes an
 	// immutable string the parsed views alias.
-	clen, err := parseHeadStr(m, string(data[:headEnd]))
+	body := data[headEnd+4:]
+	n, err := parseFrame(m, string(data[:headEnd]), len(body))
 	if err != nil {
 		m.Release()
 		return nil, err
 	}
-	body := data[headEnd+4:]
-	if clen >= 0 {
-		if len(body) < clen {
-			m.Release()
-			return nil, fmt.Errorf("%w: body %d < Content-Length %d", ErrIncomplete, len(body), clen)
-		}
-		body = body[:clen]
-	}
-	if len(body) > 0 {
-		m.bodyBuf = append(m.bodyBuf[:0], body...)
+	if n > 0 {
+		m.bodyBuf = append(m.bodyBuf[:0], body[:n]...)
 		m.Body = m.bodyBuf
 	}
 	return m, nil
+}
+
+// ParseBuilt parses a complete message held as wire text into a built
+// message: not pooled, owned by the garbage collector like one from
+// NewResponse or Clone, so it may be handed to a proxy.Sender and needs no
+// Release. Header views alias wire itself, which strings keep immutable;
+// the body is copied. The transaction table rebuilds a final it keeps only
+// as wire text this way when a retransmitted request asks for a replay.
+func ParseBuilt(wire string) (*Message, error) {
+	headEnd := strings.Index(wire, "\r\n\r\n")
+	if headEnd < 0 {
+		return nil, fmt.Errorf("%w: no header terminator", ErrIncomplete)
+	}
+	if headEnd > MaxHeaderBytes {
+		return nil, ErrTooLarge
+	}
+	m := &Message{}
+	body := wire[headEnd+4:]
+	n, err := parseFrame(m, wire[:headEnd], len(body))
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		m.Body = []byte(body[:n])
+	}
+	return m, nil
+}
+
+// parseFrame parses head into m and returns how many of the rest bytes
+// after the blank line are the body: Content-Length of them, or all when
+// the header is absent.
+func parseFrame(m *Message, head string, rest int) (int, error) {
+	clen, err := parseHeadStr(m, head)
+	if err != nil {
+		return 0, err
+	}
+	if clen < 0 {
+		return rest, nil
+	}
+	if rest < clen {
+		return 0, fmt.Errorf("%w: body %d < Content-Length %d", ErrIncomplete, rest, clen)
+	}
+	return clen, nil
 }
 
 // parseHeadStr parses the start line and headers from head (the retained

@@ -203,6 +203,37 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseBuiltRoundTrip: a message kept as its wire text comes back as a
+// built message — not pooled, Release a no-op — that renders to the same
+// bytes, body included; malformed text is refused as Parse refuses it.
+func TestParseBuiltRoundTrip(t *testing.T) {
+	m, err := Parse([]byte(sampleInvite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := string(m.AppendTo(nil))
+	m.Release()
+	b, err := ParseBuilt(wire)
+	if err != nil {
+		t.Fatalf("ParseBuilt: %v", err)
+	}
+	if b.Pooled() {
+		t.Error("ParseBuilt handed out a pooled message")
+	}
+	b.Release() // no-op on a built message
+	if got := string(b.AppendTo(nil)); got != wire {
+		t.Errorf("renders\n%s\nwant\n%s", got, wire)
+	}
+	if b.Method != INVITE || len(b.Body) == 0 {
+		t.Errorf("method %q, %d body bytes", b.Method, len(b.Body))
+	}
+	for _, bad := range []string{"", "INVITE sip:x SIP/2.0\r\n", "SIP/2.0 200 OK\r\nContent-Length: 9\r\n\r\nshort"} {
+		if _, err := ParseBuilt(bad); err == nil {
+			t.Errorf("ParseBuilt(%q) accepted", bad)
+		}
+	}
+}
+
 func TestSerializeComputesContentLength(t *testing.T) {
 	m := &Message{IsRequest: true, Method: OPTIONS, RequestURI: URI{Host: "x.com"}}
 	m.Add("Via", "SIP/2.0/UDP a.com;branch=z9hG4bK5")

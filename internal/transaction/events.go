@@ -33,6 +33,10 @@ const (
 	// RespDupFinalAck: a retransmitted non-2xx INVITE final; re-ACK it
 	// downstream but do not relay (the upstream replay is Timer G's job).
 	RespDupFinalAck
+	// RespRelay2xx: a 2xx to an INVITE whose 2xx already went upstream.
+	// Relay it to the origin as it is; no state changes and no timer is
+	// armed (§16.7: a proxy forwards every 2xx to an INVITE).
+	RespRelay2xx
 )
 
 func (d RespDisposition) String() string {
@@ -49,6 +53,8 @@ func (d RespDisposition) String() string {
 		return "pass-final-ack"
 	case RespDupFinalAck:
 		return "dup-final-ack"
+	case RespRelay2xx:
+		return "relay-2xx"
 	}
 	return "unknown"
 }

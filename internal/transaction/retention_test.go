@@ -2,11 +2,12 @@ package transaction
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gosip/internal/sipmsg"
 )
@@ -45,8 +46,9 @@ func retentionFinal(i, code int) []byte {
 
 // runToFinal takes transaction i from Create to its final the way
 // forwardStateful and handleResponse do, releasing the receive loops'
-// references, and returns it completed and lingering.
-func runToFinal(t testing.TB, tb *Table, i, code int, h ClientTimerHandler) *Transaction {
+// references, and returns it completed and lingering, with the built final
+// that went upstream.
+func runToFinal(t testing.TB, tb *Table, i, code int, h ClientTimerHandler) (*Transaction, *sipmsg.Message) {
 	t.Helper()
 	req, err := sipmsg.Parse(retentionInvite(i))
 	if err != nil {
@@ -56,7 +58,9 @@ func runToFinal(t testing.TB, tb *Table, i, code int, h ClientTimerHandler) *Tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, dup := tb.Create(upKey, req, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 5071})
+	// The origin is boxed per transaction, as the UDP server boxes each
+	// request's source address.
+	tx, dup := tb.Create(upKey, req, any(netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), 5071)))
 	if dup {
 		t.Fatalf("transaction %d already exists", i)
 	}
@@ -79,7 +83,7 @@ func runToFinal(t testing.TB, tb *Table, i, code int, h ClientTimerHandler) *Tra
 		t.Fatal("SendFinal refused the first final")
 	}
 	resp.Release() // the response's receive loop is done
-	return tx
+	return tx, up
 }
 
 type nopTimers struct{}
@@ -93,21 +97,25 @@ func TestRetainedPerState(t *testing.T) {
 	tb, timers := newTestTable(Config{})
 	idle := sipmsg.PoolOutstanding()
 
-	ok := runToFinal(t, tb, 1, sipmsg.StatusOK, nopTimers{})
+	ok, okFinal := runToFinal(t, tb, 1, sipmsg.StatusOK, nopTimers{})
 	if ok.Request() != nil || ok.Forwarded() != nil || ok.DownRoute() != nil {
 		t.Error("a transaction answered 2xx still holds its request legs or its route")
 	}
-	if last := ok.LastResponse(); last == nil || last.StatusCode != sipmsg.StatusOK {
-		t.Errorf("a transaction answered 2xx lost the response it must replay: %v", last)
+	want := rendered(okFinal)
+	if last := ok.LastResponse(); rendered(last) != want {
+		t.Errorf("a transaction answered 2xx lost the response it must replay:\n%s\nwant\n%s", rendered(last), want)
 	}
 	if got := sipmsg.PoolOutstanding(); got != idle {
 		t.Errorf("%d pooled messages outstanding with the 2xx transaction lingering, idle was %d", got, idle)
 	}
-	if replay := tb.OnRetransmit(ok); replay == nil || replay.StatusCode != sipmsg.StatusOK {
-		t.Errorf("retransmitted INVITE is not answered with the 200 during linger: %v", replay)
+	if replay := tb.OnRetransmit(ok); rendered(replay) != want {
+		t.Errorf("retransmitted INVITE is not answered with the 200 during linger:\n%s\nwant\n%s", rendered(replay), want)
 	}
 
-	busy := runToFinal(t, tb, 2, sipmsg.StatusBusyHere, nopTimers{})
+	busy, busyFinal := runToFinal(t, tb, 2, sipmsg.StatusBusyHere, nopTimers{})
+	if last := busy.LastResponse(); last != busyFinal {
+		t.Error("a non-2xx INVITE final must stay a message until Timer D: Timer G replays it")
+	}
 	req, fwd := busy.Request(), busy.Forwarded()
 	if req == nil || fwd == nil || busy.DownRoute() == nil {
 		t.Fatal("a non-2xx INVITE final must keep both legs and the route until Timer D: the ACK is built from them")
@@ -148,11 +156,12 @@ func TestRetainedPerState(t *testing.T) {
 
 // TestLingeringTransactionBytes is the bound the benchmark's server_rss_mb
 // rests on: 10 000 transactions completed with a 2xx and waiting out their
-// linger window cost at most 1.5 KB of heap each — the transaction, its two
-// index entries, the removal timer, the final response and the wire text
-// its headers alias, the source address, and the hollow corpses of Timer A
-// and Timer B — then the Timer B corpse alone once terminated, and nothing
-// once that has ripened. Each stage is priced against the heap at the end,
+// linger window cost at most 1.1 KB of heap each — the transaction, its two
+// keys and index entries, the removal timer, the final's wire image, the
+// source address, and the hollow corpses of Timer A and Timer B — then the
+// Timer B corpse alone once terminated, and nothing once that has ripened.
+// The final as a message (struct, header slice, the parsed response's head
+// it aliases) cost about 500 B more. Each stage is priced against the heap at the end,
 // when the batch has left nothing behind: the index maps and the timer heap
 // keep their grown arrays, and that is not a transaction's cost.
 func TestLingeringTransactionBytes(t *testing.T) {
@@ -172,7 +181,7 @@ func TestLingeringTransactionBytes(t *testing.T) {
 
 	txs := make([]*Transaction, n)
 	for i := range txs {
-		txs[i] = runToFinal(t, tb, i, sipmsg.StatusOK, nopTimers{})
+		txs[i], _ = runToFinal(t, tb, i, sipmsg.StatusOK, nopTimers{})
 	}
 	if tb.Len() != 2*n {
 		t.Fatalf("%d index entries, want %d", tb.Len(), 2*n)
@@ -206,11 +215,50 @@ func TestLingeringTransactionBytes(t *testing.T) {
 
 	perLingering, perTerminated := (lingering-gone)/n, (terminated-gone)/n
 	t.Logf("%.0f B per lingering transaction, %.0f B per terminated one until Timer B's deadline", perLingering, perTerminated)
-	if perLingering > 1536 {
-		t.Errorf("a lingering transaction costs %.0f B, want at most 1536", perLingering)
+	if perLingering > 1100 {
+		t.Errorf("a lingering transaction costs %.0f B, want at most 1100", perLingering)
 	}
 	if perTerminated > 160 { // a 96 B timer, its heap slot, and the index maps' tombstones
 		t.Errorf("a terminated transaction costs %.0f B, want about one hollow timer", perTerminated)
+	}
+}
+
+// TestTransactionSize pins the struct in its 176 B size class: the final's
+// image replaced no field, so the fields around it had to shrink for it.
+func TestTransactionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Transaction{}); got > 176 {
+		t.Errorf("Transaction is %d B, want at most 176", got)
+	}
+}
+
+// TestRelayedFinalCollectableWhileLingering is the retention property of the
+// lingering state: once a 2xx went upstream, the transaction keeps its wire
+// image and not the message, so the built final the proxy relayed is
+// garbage the moment the sender is done with it, long before Linger ends.
+func TestRelayedFinalCollectableWhileLingering(t *testing.T) {
+	tb, _ := newTestTable(Config{})
+	collected := make(chan struct{})
+	tx := func() *Transaction {
+		tx, final := runToFinal(t, tb, 1, sipmsg.StatusOK, nopTimers{})
+		runtime.SetFinalizer(final, func(*sipmsg.Message) { close(collected) })
+		return tx
+	}()
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			if tx.State() != StateCompleted {
+				t.Fatalf("state %v, want the transaction still lingering", tx.State())
+			}
+			if last := tx.LastResponse(); last == nil || last.StatusCode != sipmsg.StatusOK {
+				t.Errorf("the lingering transaction lost its 200: %v", last)
+			}
+			return
+		case <-deadline:
+			t.Fatal("the relayed final is still reachable from its lingering transaction")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

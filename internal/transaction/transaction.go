@@ -19,6 +19,7 @@ package transaction
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,10 +129,11 @@ func (c Config) withDefaults() Config {
 // What it holds is set by its state, not by its longest timer (the table is
 // in DESIGN.md §5): while Proceeding, both request legs, the downstream
 // route and the freshest provisional; once a 2xx or a non-INVITE final went
-// upstream, only what replaying that final takes — lastResp, the keys,
-// Origin; after a non-2xx INVITE final, the legs too, until Timer D,
-// because the ACK and a deferred CANCEL are derived from them; once
-// Terminated, nothing. Every stored message carries a reference of the
+// upstream, only what replaying that final takes — its wire image, the
+// keys, Origin — and no message at all; after a non-2xx INVITE final, the
+// legs and the final as messages, until Timer D, because Timer G replays
+// the final and the ACK and a deferred CANCEL are derived from the legs;
+// once Terminated, nothing. Every stored message carries a reference of the
 // table's own, given back the moment the state stops needing the message,
 // so a parsed request returns to sipmsg's pool at its final instead of
 // waiting out Timer B in a cancelled timer's closure.
@@ -144,10 +146,18 @@ type Transaction struct {
 	req *sipmsg.Message // original incoming request
 	fwd *sipmsg.Message // forwarded request (with the proxy's Via)
 
-	lastResp *sipmsg.Message // last response sent upstream
+	// lastResp is the last response sent upstream while it is kept as a
+	// message: a provisional, or a non-2xx INVITE final Timer G replays.
+	lastResp *sipmsg.Message
+	// final is the exact wire image of a 2xx or non-INVITE final that went
+	// upstream, kept instead of lastResp for the linger window: a lingering
+	// transaction is the commonest state in a loaded proxy, and a string
+	// costs one pointer-free allocation where a message graph costs several
+	// the collector must trace. Its status code is read from the image.
+	final string
 
 	// Origin identifies where the request came from, so responses return
-	// by the same path: a *net.UDPAddr for UDP, a connection ID for TCP.
+	// by the same path: a netip.AddrPort for UDP, a connection for TCP.
 	// Opaque to this package.
 	Origin any
 
@@ -180,8 +190,35 @@ type Transaction struct {
 	timeoutTimer *timerlist.Timer // Timer B/F (client), then H (server)
 	removeTimer  *timerlist.Timer // Timer D/I/J/K collapsed: table removal
 
-	attempts      int // client request retransmissions (Timer A/E)
-	finalAttempts int // server final retransmissions (Timer G)
+	attempts      int32 // client request retransmissions (Timer A/E)
+	finalAttempts int32 // server final retransmissions (Timer G)
+}
+
+// statusOf reads the status code off the start line of a response's wire
+// image ("SIP/2.0 200 OK"), 0 if there is none.
+func statusOf(image string) int {
+	const at = len(sipmsg.SIPVersion) + 1
+	if len(image) < at+3 {
+		return 0
+	}
+	code, _ := strconv.Atoi(image[at : at+3])
+	return code
+}
+
+// lastLocked is the response a retransmitted request is answered with: the
+// stored message with a reference for the caller to Release, or the final
+// parsed back from its wire image into a built message that carries the
+// transaction's timeline; nil if there is neither. Caller holds t.mu.
+func (t *Transaction) lastLocked() *sipmsg.Message {
+	if t.lastResp != nil || t.final == "" {
+		return t.lastResp.Retain()
+	}
+	m, err := sipmsg.ParseBuilt(t.final)
+	if err != nil {
+		return nil // not reachable: the image is our own rendering
+	}
+	m.BorrowTrace(t.trace)
+	return m
 }
 
 // store puts m into a message slot of the transaction: the table takes a
@@ -245,11 +282,12 @@ func (t *Transaction) Forwarded() *sipmsg.Message {
 	return t.fwd.Retain()
 }
 
-// LastResponse returns the most recent response sent upstream, or nil.
+// LastResponse returns the most recent response sent upstream, or nil. A
+// final kept as its wire image comes back as a built message parsed from it.
 func (t *Transaction) LastResponse() *sipmsg.Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lastResp.Retain()
+	return t.lastLocked()
 }
 
 // IsInvite reports whether the transaction was created by an INVITE.
@@ -267,11 +305,12 @@ func (t *Transaction) DownRoute() any {
 	return t.downRoute
 }
 
-// RecordUpstreamResponse remembers a response replayed to retransmitted
-// requests (e.g. the proxy's own 100 Trying).
+// RecordUpstreamResponse remembers a provisional replayed to retransmitted
+// requests (e.g. the proxy's own 100 Trying). Once the transaction has its
+// final — a CANCEL's 487 can overtake the worker's 100 — the final stays.
 func (t *Transaction) RecordUpstreamResponse(resp *sipmsg.Message) {
 	t.mu.Lock()
-	if t.state != StateTerminated {
+	if t.state == StateProceeding {
 		store(&t.lastResp, resp)
 	}
 	t.mu.Unlock()
@@ -281,7 +320,7 @@ func (t *Transaction) RecordUpstreamResponse(resp *sipmsg.Message) {
 func (t *Transaction) Attempts() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.attempts
+	return int(t.attempts)
 }
 
 // FinalAttempts returns how many Timer G final-response retransmissions
@@ -289,7 +328,7 @@ func (t *Transaction) Attempts() int {
 func (t *Transaction) FinalAttempts() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.finalAttempts
+	return int(t.finalAttempts)
 }
 
 // RequestCancel records the TU's wish to cancel the downstream leg and
@@ -449,7 +488,8 @@ func (tb *Table) Create(upKey string, req *sipmsg.Message, origin any) (tx *Tran
 // A 2xx INVITE final is the one departure from the machine: §17.2.1 hands
 // 2xx retransmission to the TU and terminates, but this proxy keeps the
 // entry matchable during the linger window (see SendFinal), so a
-// retransmitted INVITE still replays the recorded 200 here.
+// retransmitted INVITE still replays the recorded 200 here. A final kept as
+// its wire image is replayed as a built message parsed from it.
 func (tb *Table) OnRetransmit(tx *Transaction) *sipmsg.Message {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -457,13 +497,13 @@ func (tb *Table) OnRetransmit(tx *Transaction) *sipmsg.Message {
 	if !ok {
 		if tx.srvMachine == MachineInviteServer && tx.srv == FTerminated &&
 			tx.state == StateCompleted {
-			return tx.lastResp.Retain()
+			return tx.lastLocked()
 		}
 		return nil
 	}
 	tx.srv = next
 	if act&ActReplay != 0 {
-		return tx.lastResp.Retain()
+		return tx.lastLocked()
 	}
 	return nil
 }
@@ -625,7 +665,8 @@ func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, h C
 // and classifies it for the TU. resp must be the upstream-facing message
 // (proxy Via already stripped): provisionals are recorded as lastResp here
 // so retransmitted requests replay the freshest status. Finals are NOT
-// recorded here — SendFinal owns that transition on the server machine.
+// recorded here — SendFinal owns that transition on the server machine —
+// and neither is a 2xx relayed past it (RespRelay2xx).
 func (tb *Table) OnClientResponse(tx *Transaction, resp *sipmsg.Message) RespDisposition {
 	code := resp.StatusCode
 	ev := Ev300Plus
@@ -639,6 +680,14 @@ func (tb *Table) OnClientResponse(tx *Transaction, resp *sipmsg.Message) RespDis
 	defer tx.mu.Unlock()
 	next, act, ok := Step(tx.cliMachine, tx.cli, ev, false)
 	if !ok {
+		// A 2xx terminated the INVITE client leg and went upstream, so its
+		// transaction is gone at both ends: a retransmitted (or forked) 2xx
+		// is the UAS core's own retransmission and every proxy forwards it
+		// (§17.1.1.2, §16.7 step 1). Nothing here changes.
+		if ev == Ev2xx && tx.cliMachine == MachineInviteClient &&
+			tx.cli == FTerminated && statusOf(tx.final)/100 == 2 {
+			return RespRelay2xx
+		}
 		return RespAbsorb
 	}
 	tx.cli = next
@@ -723,10 +772,11 @@ func (tb *Table) OnAck(tx *Transaction) AckDisposition {
 // SendFinal transitions the transaction to Completed: the final response
 // is about to go upstream. Client timers stop, the pending gauge drops,
 // and the entry is scheduled for removal (Timer D for a non-2xx INVITE
-// final, Linger otherwise). Only a non-2xx INVITE final keeps the request
-// legs past this point — the ACK it provokes downstream and a CANCEL still
-// owed to the next hop are derived from them; any other final needs nothing
-// but itself to be replayed, and the legs are given back here.
+// final, Linger otherwise). Only a non-2xx INVITE final keeps messages past
+// this point — Timer G replays it, and the ACK it provokes downstream and a
+// CANCEL still owed to the next hop are derived from the request legs. Any
+// other final needs nothing but its own bytes to be replayed: the table
+// keeps resp's wire image and neither resp nor the legs.
 //
 // For a non-2xx INVITE final over an unreliable transport, pass a non-nil
 // replay to arm the §17.2.1 ACK wait: the final is retransmitted via replay
@@ -746,6 +796,15 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 	if code < 300 {
 		ev = Ev2xx
 	}
+	keepMessages := tx.srvMachine == MachineInviteServer && code >= 300
+	var image string
+	if !keepMessages {
+		// Rendered before the lock: the one allocation of the image, sized
+		// exactly, and no serialization under tx.mu.
+		w := resp.RenderWire()
+		image = string(w.Bytes)
+		w.Release()
+	}
 	tx.mu.Lock()
 	if tx.state != StateProceeding {
 		tx.mu.Unlock()
@@ -758,7 +817,6 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 	}
 	tx.srv = next
 	tx.state = StateCompleted
-	store(&tx.lastResp, resp)
 	if tx.retransTimer != nil {
 		tx.retransTimer.Cancel()
 		tx.retransTimer = nil
@@ -768,9 +826,12 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 		tx.timeoutTimer = nil
 	}
 	linger := tb.cfg.Linger
-	if tx.srvMachine == MachineInviteServer && code >= 300 {
+	if keepMessages {
+		store(&tx.lastResp, resp)
 		linger = tb.cfg.TimerD
 	} else {
+		tx.final = image
+		store(&tx.lastResp, nil)
 		tx.releaseLegsLocked()
 	}
 	tx.removeTimer = tb.timers.After(linger, func() { tb.Terminate(tx) })
@@ -853,6 +914,7 @@ func (tb *Table) Terminate(tx *Transaction) {
 	}
 	tx.releaseLegsLocked()
 	store(&tx.lastResp, nil)
+	tx.final = ""
 	up, down := tx.upKey, tx.downKey
 	tx.mu.Unlock()
 	if wasProceeding {

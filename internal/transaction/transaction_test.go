@@ -28,6 +28,16 @@ func inviteReq(callID string) *sipmsg.Message {
 	})
 }
 
+// rendered is m's wire text, "" for nil. The tests compare what a replay
+// would put on the wire, not which object carries it: a final kept only as
+// its wire image comes back as a new message each time.
+func rendered(m *sipmsg.Message) string {
+	if m == nil {
+		return ""
+	}
+	return string(m.AppendTo(nil))
+}
+
 func key(t *testing.T, m *sipmsg.Message) string {
 	t.Helper()
 	k, err := m.TransactionKey()
@@ -90,8 +100,8 @@ func TestTransactionCompletesExactlyOnce(t *testing.T) {
 	if tx.State() != StateCompleted {
 		t.Errorf("state = %v", tx.State())
 	}
-	if tx.LastResponse() != final {
-		t.Error("LastResponse not recorded")
+	if got, want := rendered(tx.LastResponse()), rendered(final); got != want {
+		t.Errorf("LastResponse renders\n%s\nwant the final\n%s", got, want)
 	}
 }
 
@@ -292,7 +302,7 @@ func TestRecordUpstreamResponse(t *testing.T) {
 	tx, _ := tb.Create(key(t, req), req, nil)
 	trying := sipmsg.NewResponse(req, sipmsg.StatusTrying, "")
 	tx.RecordUpstreamResponse(trying)
-	if tx.LastResponse() != trying {
+	if rendered(tx.LastResponse()) != rendered(trying) {
 		t.Error("upstream response not recorded")
 	}
 }
@@ -365,14 +375,27 @@ func TestOnRetransmitRepliesPerMachine(t *testing.T) {
 	inv, _ := tb.Create("r-inv|INVITE", req, nil)
 	trying := sipmsg.NewResponse(req, sipmsg.StatusTrying, "")
 	inv.RecordUpstreamResponse(trying)
-	if got := tb.OnRetransmit(inv); got != trying {
-		t.Error("INVITE Proceeding retransmit should replay the 100")
+	if got := tb.OnRetransmit(inv); rendered(got) != rendered(trying) {
+		t.Errorf("INVITE Proceeding retransmit replayed %q, want the 100", rendered(got))
 	}
-	// Completed replays the final.
+	// Completed replays the final, byte for byte, every time.
 	final := sipmsg.NewResponse(req, sipmsg.StatusOK, "g")
 	tb.SendFinal(inv, final, nil)
-	if got := tb.OnRetransmit(inv); got != final {
-		t.Error("Completed retransmit should replay the final")
+	for i := 0; i < 2; i++ {
+		got := tb.OnRetransmit(inv)
+		if rendered(got) != rendered(final) {
+			t.Fatalf("Completed retransmit %d replayed\n%s\nwant the final\n%s", i, rendered(got), rendered(final))
+		}
+		if got.Pooled() {
+			t.Error("the replay is a pooled message: it would cross proxy.Sender")
+		}
+	}
+	// So does a non-INVITE transaction in Completed.
+	bye2, _ := tb.Create("r-bye2|BYE", byeReq("r3"), nil)
+	byeOK := sipmsg.NewResponse(byeReq("r3"), sipmsg.StatusOK, "g")
+	tb.SendFinal(bye2, byeOK, nil)
+	if got := tb.OnRetransmit(bye2); rendered(got) != rendered(byeOK) {
+		t.Errorf("non-INVITE Completed retransmit replayed %q, want the 200", rendered(got))
 	}
 }
 
@@ -516,7 +539,7 @@ func TestOnClientResponseDispositions(t *testing.T) {
 	if disp := tb.OnClientResponse(tx, hundred); disp != RespAbsorb100 {
 		t.Errorf("downstream 100: %v, want absorb-100", disp)
 	}
-	if tx.LastResponse() != hundred {
+	if rendered(tx.LastResponse()) != rendered(hundred) {
 		t.Error("absorbed 100 must still be recorded for retransmit replay")
 	}
 	ringing := sipmsg.NewResponse(req, sipmsg.StatusRinging, "")
@@ -559,7 +582,7 @@ func TestLateProvisionalAfterUpstreamFinal(t *testing.T) {
 	if disp := tb.OnClientResponse(tx, ringing); disp != RespAbsorb {
 		t.Errorf("late 180 after upstream final: %v, want absorb", disp)
 	}
-	if tx.LastResponse() != final {
+	if rendered(tx.LastResponse()) != rendered(final) {
 		t.Error("late provisional clobbered lastResp")
 	}
 }

@@ -1,14 +1,14 @@
 package transport
 
 import (
-	"net"
+	"net/netip"
 	"time"
 )
 
 // Datagram is one outbound UDP message for the batched send path.
 type Datagram struct {
 	Data []byte
-	Dst  *net.UDPAddr
+	Dst  netip.AddrPort
 }
 
 // BatchReader holds the reusable per-caller state of the batched receive
@@ -68,14 +68,14 @@ func (s *UDPSocket) ReadBatch(br *BatchReader) (int, error) {
 		s.recvOcc.Record(time.Duration(n))
 		return n, nil
 	}
-	n, src, err := s.conn.ReadFromUDP(br.bufs[0])
+	n, src, err := s.conn.ReadFromUDPAddrPort(br.bufs[0])
 	if err != nil {
 		return 0, err
 	}
 	s.recvSyscalls.Inc()
 	s.recvMsgs.Inc()
 	s.recvOcc.Record(1)
-	br.pkts[0] = Packet{Data: br.bufs[0][:n], Src: src}
+	br.pkts[0] = Packet{Data: br.bufs[0][:n], Src: unmap(src)}
 	return 1, nil
 }
 

@@ -17,7 +17,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"os"
 	"syscall"
 	"unsafe"
@@ -79,7 +79,7 @@ func (s *UDPSocket) readBatchMmsg(br *BatchReader) (int, error) {
 		return 0, serr
 	}
 	for i := 0; i < n; i++ {
-		br.pkts[i] = Packet{Data: br.bufs[i][:o.hdrs[i].n], Src: rawToUDPAddr(&o.names[i])}
+		br.pkts[i] = Packet{Data: br.bufs[i][:o.hdrs[i].n], Src: rawToAddrPort(&o.names[i])}
 		// The kernel overwrote Namelen with the actual sockaddr size;
 		// restore the buffer size for the next call.
 		o.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(o.names[i]))
@@ -116,7 +116,7 @@ func (s *UDPSocket) writeBatchMmsg(bw *BatchWriter, dgs []Datagram) (int, error)
 			o.iovs[i].Base = nil
 		}
 		o.iovs[i].Len = uint64(len(dgs[i].Data))
-		nl, err := encodeUDPAddr(&o.names[i], dgs[i].Dst, s.is6)
+		nl, err := encodeAddrPort(&o.names[i], dgs[i].Dst, s.is6)
 		if err != nil {
 			return 0, err
 		}
@@ -148,48 +148,43 @@ func (s *UDPSocket) writeBatchMmsg(bw *BatchWriter, dgs []Datagram) (int, error)
 	return calls, serr
 }
 
-// rawToUDPAddr decodes the kernel-filled source sockaddr. The two-byte
-// view of Port keeps the conversion endian-correct without bit tricks.
-func rawToUDPAddr(rsa *syscall.RawSockaddrInet6) *net.UDPAddr {
+// rawToAddrPort decodes the kernel-filled source sockaddr into a value:
+// nothing is allocated per datagram. The two-byte view of Port keeps the
+// conversion endian-correct without bit tricks; an IPv4 peer of a
+// dual-stack socket comes back as plain IPv4.
+func rawToAddrPort(rsa *syscall.RawSockaddrInet6) netip.AddrPort {
 	switch rsa.Family {
 	case syscall.AF_INET:
 		r4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
 		pb := (*[2]byte)(unsafe.Pointer(&r4.Port))
-		ip := make(net.IP, net.IPv4len)
-		copy(ip, r4.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(pb[0])<<8 | int(pb[1])}
+		return netip.AddrPortFrom(netip.AddrFrom4(r4.Addr), uint16(pb[0])<<8|uint16(pb[1]))
 	case syscall.AF_INET6:
 		pb := (*[2]byte)(unsafe.Pointer(&rsa.Port))
-		ip := make(net.IP, net.IPv6len)
-		copy(ip, rsa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(pb[0])<<8 | int(pb[1])}
+		return netip.AddrPortFrom(netip.AddrFrom16(rsa.Addr).Unmap(), uint16(pb[0])<<8|uint16(pb[1]))
 	}
-	return nil // not reachable for datagrams on an AF_INET/AF_INET6 socket
+	return netip.AddrPort{} // not reachable for datagrams on an AF_INET/AF_INET6 socket
 }
 
-// encodeUDPAddr fills the sockaddr slot for one destination. A v4 address
+// encodeAddrPort fills the sockaddr slot for one destination. A v4 address
 // sent through a v6-bound socket is encoded in mapped form, matching what
 // the standard library's sendto path does.
-func encodeUDPAddr(dst *syscall.RawSockaddrInet6, a *net.UDPAddr, force6 bool) (uint32, error) {
-	if a == nil {
-		return 0, fmt.Errorf("transport: datagram with nil destination")
+func encodeAddrPort(dst *syscall.RawSockaddrInet6, a netip.AddrPort, force6 bool) (uint32, error) {
+	if !a.IsValid() {
+		return 0, fmt.Errorf("transport: datagram with no destination")
 	}
-	if ip4 := a.IP.To4(); ip4 != nil && !force6 {
+	addr := a.Addr().Unmap()
+	if addr.Is4() && !force6 {
 		r4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(dst))
 		r4.Family = syscall.AF_INET
 		pb := (*[2]byte)(unsafe.Pointer(&r4.Port))
-		pb[0], pb[1] = byte(a.Port>>8), byte(a.Port)
-		copy(r4.Addr[:], ip4)
+		pb[0], pb[1] = byte(a.Port()>>8), byte(a.Port())
+		r4.Addr = addr.As4()
 		return syscall.SizeofSockaddrInet4, nil
-	}
-	ip16 := a.IP.To16()
-	if ip16 == nil {
-		return 0, fmt.Errorf("transport: unroutable destination IP %v", a.IP)
 	}
 	dst.Family = syscall.AF_INET6
 	pb := (*[2]byte)(unsafe.Pointer(&dst.Port))
-	pb[0], pb[1] = byte(a.Port>>8), byte(a.Port)
-	copy(dst.Addr[:], ip16)
+	pb[0], pb[1] = byte(a.Port()>>8), byte(a.Port())
+	dst.Addr = addr.As16()
 	dst.Scope_id = 0
 	return syscall.SizeofSockaddrInet6, nil
 }

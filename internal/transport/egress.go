@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -86,7 +86,7 @@ func NewEgress(sock *UDPSocket, batch int, linger time.Duration, prof *metrics.P
 // Enqueue queues one datagram, copying data. It returns the queue's sticky
 // error, so a dead socket surfaces on the send path just as it would
 // unbatched.
-func (e *Egress) Enqueue(data []byte, dst *net.UDPAddr) error {
+func (e *Egress) Enqueue(data []byte, dst netip.AddrPort) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()

@@ -89,7 +89,7 @@ func TestEngineParityUDPReceive(t *testing.T) {
 		for _, mode := range []string{"batch", "packet"} {
 			t.Run(path.name+"/"+mode, func(t *testing.T) {
 				s := openParitySocket(t, path.forceGeneric)
-				peer, err := net.DialUDP("udp", nil, s.LocalAddr())
+				peer, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(s.LocalAddr()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func TestEngineParityUDPSend(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer peer.Close()
-			dst := peer.LocalAddr().(*net.UDPAddr)
+			dst := peer.LocalAddr().(*net.UDPAddr).AddrPort()
 			var dgs []Datagram
 			for _, p := range corpus {
 				dgs = append(dgs, Datagram{Data: p, Dst: dst})

@@ -9,6 +9,12 @@
 // descriptor's lock. The UDP socket additionally offers batched receive
 // and send paths (recvmmsg/sendmmsg — see batch.go), opt-in: by default
 // every datagram costs one syscall, as in the paper.
+//
+// UDP addresses are netip.AddrPort values throughout — a packet's source,
+// a datagram's destination, the bound address — so receiving and sending a
+// datagram allocates nothing: no *net.UDPAddr per datagram, and nothing
+// for the garbage collector to trace when a caller keeps one. IPv4 peers
+// of a dual-stack socket appear as plain IPv4 addresses, not 4-in-6.
 package transport
 
 import (
@@ -43,7 +49,7 @@ const MaxBatch = 512
 // Packet is one datagram received on a UDP socket.
 type Packet struct {
 	Data []byte
-	Src  *net.UDPAddr
+	Src  netip.AddrPort
 
 	// buf is the pool slot backing Data for single-packet reads; nil for
 	// packets produced by a BatchReader, which owns its buffers.
@@ -179,7 +185,7 @@ func newUDPSocket(c *net.UDPConn, o UDPOptions) (*UDPSocket, error) {
 		b := make([]byte, MaxDatagram)
 		return &b
 	}
-	s.is6 = s.LocalAddr().IP.To4() == nil
+	s.is6 = s.LocalAddr().Addr().Is6()
 	if o.BatchSize > 1 && mmsgAvailable && !o.ForceGeneric {
 		rc, err := c.SyscallConn()
 		if err != nil {
@@ -213,13 +219,16 @@ func ReusePortAvailable() bool { return reusePortAvailable }
 func (s *UDPSocket) BufferSizes() (rcv, snd int) { return socketBufferSizes(s.conn) }
 
 // LocalAddr returns the bound address.
-func (s *UDPSocket) LocalAddr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
+func (s *UDPSocket) LocalAddr() netip.AddrPort {
+	return unmap(s.conn.LocalAddr().(*net.UDPAddr).AddrPort())
+}
 
 // ReadPacket blocks for the next datagram. The returned Packet owns its
-// buffer; call Release when done to recycle it.
+// buffer; call Release when done to recycle it. Neither the read nor the
+// source address allocates.
 func (s *UDPSocket) ReadPacket() (Packet, error) {
 	bp := s.bufPool.Get().(*[]byte)
-	n, src, err := s.conn.ReadFromUDP(*bp)
+	n, src, err := s.conn.ReadFromUDPAddrPort(*bp)
 	if err != nil {
 		s.bufPool.Put(bp)
 		return Packet{}, err
@@ -227,7 +236,7 @@ func (s *UDPSocket) ReadPacket() (Packet, error) {
 	s.recvSyscalls.Inc()
 	s.recvMsgs.Inc()
 	s.recvOcc.Record(1)
-	return Packet{Data: (*bp)[:n], Src: src, buf: bp}, nil
+	return Packet{Data: (*bp)[:n], Src: unmap(src), buf: bp}, nil
 }
 
 // Release returns a packet's buffer to the pool. Packets whose buffer the
@@ -253,18 +262,17 @@ func (s *UDPSocket) Release(p Packet) {
 // WriteTo sends a datagram. UDP sends are atomic at the message level, so
 // no locking is needed — the property the paper credits for UDP's
 // synchronization-free send path.
-func (s *UDPSocket) WriteTo(data []byte, dst *net.UDPAddr) error {
+func (s *UDPSocket) WriteTo(data []byte, dst netip.AddrPort) error {
 	s.sendSyscalls.Inc()
 	s.sendMsgs.Inc()
 	s.sendOcc.Record(1)
-	_, err := s.conn.WriteToUDPAddrPort(data, udpAddrPort(dst))
+	_, err := s.conn.WriteToUDPAddrPort(data, unmap(dst))
 	return err
 }
 
-// udpAddrPort converts a *net.UDPAddr to the allocation-free netip form,
-// unmapping 4-in-6 addresses so AF_INET sockets accept them.
-func udpAddrPort(a *net.UDPAddr) netip.AddrPort {
-	ap := a.AddrPort()
+// unmap turns a 4-in-6 address into plain IPv4: how a dual-stack socket
+// reports an IPv4 peer, and a form an AF_INET socket cannot send to.
+func unmap(ap netip.AddrPort) netip.AddrPort {
 	if addr := ap.Addr(); addr.Is4In6() {
 		return netip.AddrPortFrom(addr.Unmap(), ap.Port())
 	}
