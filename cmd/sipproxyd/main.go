@@ -83,7 +83,6 @@ func main() {
 		retryAfter   = flag.Duration("retry-after", 0, "base Retry-After advertised on 503 rejections (0 = 1s)")
 		udpBatch     = flag.Int("udp-batch", 0, "datagrams per recvmmsg/sendmmsg call (0/1 = unbatched baseline)")
 		udpLinger    = flag.Duration("udp-linger", 0, "egress batch flush deadline (0 = default; needs -udp-batch > 1)")
-		tcpCoalesce  = flag.Bool("tcp-coalesce", false, "coalesce contended TCP sends into one writev (group commit)")
 		soRcvbuf     = flag.Int("so-rcvbuf", 0, "requested SO_RCVBUF for proxy sockets (0 = kernel default)")
 		soSndbuf     = flag.Int("so-sndbuf", 0, "requested SO_SNDBUF for proxy sockets (0 = kernel default)")
 		timerImpl    = flag.String("timer-impl", "wheel", "timer data structure: wheel (sharded timing wheel) or heap (paper-faithful binary heap)")
@@ -95,7 +94,6 @@ func main() {
 		txnTimerD    = flag.Duration("timer-d", 0, "completed non-2xx INVITE transaction lifetime, Timer D (0 = 32s)")
 		txnTimerH    = flag.Duration("timer-h", 0, "ACK wait after a non-2xx INVITE final, Timer H (0 = 64*T1)")
 		txnLinger    = flag.Duration("txn-linger", 0, "completed-transaction absorb window for non-INVITE and 2xx finals, Timers J/K (0 = 2s)")
-		dispatch     = flag.String("dispatch", "rr", "threaded connection dispatch: rr (round-robin) or affinity (peer-hash worker pinning)")
 		dbLatency    = flag.Duration("db-latency", 0, "simulated user-database lookup latency")
 		dbBackend    = flag.String("db-backend", "memory", "user-database driver: memory or sql (latency-modelled; uses -db-latency per query)")
 		dbPool       = flag.Int("db-pool", 0, "user-database connection-pool size (0 = unbounded)")
@@ -157,12 +155,10 @@ func main() {
 		IPCTimeout:        *ipcTimeout,
 		UDPBatch:          *udpBatch,
 		EgressLinger:      *udpLinger,
-		TCPCoalesce:       *tcpCoalesce,
 		SoRcvBuf:          *soRcvbuf,
 		SoSndBuf:          *soSndbuf,
 		TimerImpl:         timerlist.Impl(*timerImpl),
 		TimerShards:       *timerShards,
-		Dispatch:          core.Dispatch(*dispatch),
 		Overload: overload.Config{
 			Policy:          overload.Policy(*olPolicy),
 			MaxPending:      *olPending,
@@ -246,12 +242,9 @@ func main() {
 	if us, ok := srv.(interface{ ShardCount() int }); ok {
 		fmt.Printf("sipproxyd: udp: %d sockets on %s, udp-batch=%d\n", us.ShardCount(), srv.Addr(), *udpBatch)
 	}
-	if *tcpCoalesce {
-		fmt.Println("sipproxyd: tcp-coalesce on")
-	}
-	if *timerImpl != "wheel" || *timerShards > 0 || *txnShards > 0 || *dispatch != "rr" {
-		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d dispatch=%s\n",
-			*timerImpl, *timerShards, *txnShards, *dispatch)
+	if *timerImpl != "wheel" || *timerShards > 0 || *txnShards > 0 {
+		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d\n",
+			*timerImpl, *timerShards, *txnShards)
 	}
 	if *locShards > 0 || *authCache > 0 || *dbBackend != "memory" {
 		fmt.Printf("sipproxyd: registrar: loc-shards=%d db-backend=%s auth-cache=%d auth-cache-ttl=%v\n",

@@ -56,30 +56,6 @@ func TestUDPServerBatchedShardedEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTCPServerCoalescedEndToEnd(t *testing.T) {
-	srv := startServer(t, Config{Arch: ArchTCP, Workers: 4, TCPCoalesce: true, FDCache: true})
-	res := runLoad(t, srv, transport.TCP, 4, 5, 0)
-	assertClean(t, res, 20)
-	prof := srv.Profile()
-	msgs := prof.Counter(metrics.MetricTCPWriteMsgs).Value()
-	calls := prof.Counter(metrics.MetricTCPWriteCalls).Value()
-	if msgs == 0 {
-		t.Error("no stream writes recorded")
-	}
-	if calls > msgs {
-		t.Errorf("write calls %d exceed messages %d", calls, msgs)
-	}
-}
-
-func TestThreadedServerCoalescedEndToEnd(t *testing.T) {
-	srv := startServer(t, Config{Arch: ArchThreaded, Workers: 4, TCPCoalesce: true})
-	res := runLoad(t, srv, transport.TCP, 4, 5, 0)
-	assertClean(t, res, 20)
-	if got := srv.Profile().Counter(metrics.MetricTCPWriteMsgs).Value(); got == 0 {
-		t.Error("no stream writes recorded")
-	}
-}
-
 // TestUDPSendAllocs pins the steady-state UDP send path at zero
 // allocations: the message renders into a pooled buffer, a literal
 // destination is parsed in place, and the socket write takes the netip

@@ -1,28 +1,26 @@
 // Package core assembles the paper's server architectures around the proxy
-// engine (Ram et al. §3):
+// engine (Ram et al. §3). Every architecture runs one pipeline, receive →
+// admit → Engine.Handle → send, on the goroutine that received the message,
+// and runs it to completion before receiving the next; nothing is handed to
+// another goroutine on the way. What differs is how messages arrive:
 //
 //   - UDPServer (§3.2): N symmetric workers, each receiving from its own
 //     SO_REUSEPORT socket on the listen port while the kernel picks the
 //     worker per datagram; no connection state; a timer process drives
 //     retransmission.
-//   - TCPServer (§3.1): a single supervisor goroutine that accepts all
-//     connections, assigns ownership to workers, answers blocking fd
-//     requests over the IPC fabric, and closes idle connections. Workers
-//     own reads on their connections and must obtain descriptors for
-//     everything else. The Figure 4 fd cache and the Figure 5 priority
-//     queue are configuration switches.
-//   - ThreadedServer (§6): the multi-threaded, shared-address-space
-//     architecture the paper advocates — same workers, but any worker may
-//     write any connection directly, with no supervisor IPC.
-//
-// On both stream architectures the goroutine that reads a message runs it
-// to completion — parse, admission, Engine.Handle, send — before it reads
-// the next; nothing is handed to another goroutine on the way. The
-// ownership policy is the only difference: a tcp worker is a lock, so a
-// reader handles its message as the owning worker process, one message per
-// worker at a time, and cross-connection sends go through that worker's fd
-// cache and IPC port; threaded readers run side by side and write any
-// connection directly.
+//   - TCPServer (§3.1) and ThreadedServer (§6) share one stream pipeline:
+//     an acceptor, a reader goroutine per connection, workers that adopt
+//     connections and close idle ones, and one sender that reuses or dials
+//     the destination connection. They differ in two policies only:
+//     ownership — a tcp worker is a process, so a reader runs its message
+//     under the worker's lock, one message per worker at a time, while a
+//     single supervisor goroutine accepts, assigns and destroys connections;
+//     threaded readers run side by side — and handle acquisition — a tcp
+//     worker writes its own connections directly and gets a descriptor for
+//     any other from its fd cache (Figure 4) or by a blocking request to the
+//     supervisor over the IPC fabric, while a threaded worker writes any
+//     connection directly. The Figure 5 priority queue is a configuration
+//     switch of both.
 package core
 
 import (
@@ -127,7 +125,7 @@ type Config struct {
 
 	// --- batched I/O knobs ---
 	// The zero values reproduce the paper-faithful one-syscall-per-message
-	// behaviour exactly; each knob is an independent, measurable departure.
+	// behaviour exactly.
 
 	// UDPBatch > 1 enables batched datagram I/O: each worker receives up to
 	// this many datagrams per recvmmsg call and queues its responses into a
@@ -137,10 +135,6 @@ type Config struct {
 	// before flushing (0 = transport.DefaultEgressLinger). Only meaningful
 	// with UDPBatch > 1.
 	EgressLinger time.Duration
-	// TCPCoalesce enables group-commit write coalescing on stream
-	// connections: contended sends on one connection leave in a single
-	// writev instead of serialized write calls.
-	TCPCoalesce bool
 	// SoRcvBuf/SoSndBuf request socket buffer sizes (SO_RCVBUF/SO_SNDBUF)
 	// for the UDP sockets and every accepted or dialed TCP connection
 	// (0 = kernel default).
@@ -175,13 +169,6 @@ type Config struct {
 	// TimerShards is the wheel's shard count (0 = GOMAXPROCS); ignored by
 	// the heap, which is inherently single-lock.
 	TimerShards int
-	// Dispatch selects how the threaded architecture assigns inbound
-	// connections to workers: DispatchRR (round-robin, the default) or
-	// DispatchAffinity (hash of the peer address, so one peer's
-	// connections — and therefore its Call-ID-keyed transactions and
-	// timers — always land on the same worker). Ignored by other
-	// architectures.
-	Dispatch Dispatch
 	// Txn tunes the transaction layer.
 	Txn transaction.Config
 	// DB configures the simulated persistent store.
@@ -200,22 +187,6 @@ type Config struct {
 const (
 	DefaultWorkersUDP = 8
 	DefaultWorkersTCP = 8
-)
-
-// Dispatch names a connection-to-worker assignment policy for the threaded
-// architecture.
-type Dispatch string
-
-// Dispatch policies.
-const (
-	// DispatchRR spreads inbound connections round-robin: even load, but a
-	// peer's transactions scatter across workers and every shard lock they
-	// share is contended.
-	DispatchRR Dispatch = "rr"
-	// DispatchAffinity hashes the peer address so a peer's connections
-	// always land on one worker; its transactions and timers stay
-	// worker-local, trading perfect balance for lock locality.
-	DispatchAffinity Dispatch = "affinity"
 )
 
 // TLSSettings configures the TLS transport (see Config.TLS). Certificates
@@ -283,9 +254,6 @@ func (c Config) withDefaults() Config {
 	if c.TimerImpl == "" {
 		c.TimerImpl = timerlist.ImplWheel
 	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchRR
-	}
 	if c.LocSweepInterval <= 0 {
 		c.LocSweepInterval = time.Second
 	}
@@ -318,8 +286,11 @@ type Server interface {
 // New starts a server of the configured architecture.
 func New(cfg Config) (Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Dispatch != DispatchRR && cfg.Dispatch != DispatchAffinity {
-		return nil, fmt.Errorf("core: unknown dispatch policy %q", cfg.Dispatch)
+	if cfg.IPCMode != ipc.ModeChan && cfg.IPCMode != ipc.ModeUnix {
+		return nil, fmt.Errorf("core: unknown IPC mode %q", cfg.IPCMode)
+	}
+	if cfg.ConnMgr != connmgr.KindScan && cfg.ConnMgr != connmgr.KindPQueue {
+		return nil, fmt.Errorf("core: unknown connection manager %q", cfg.ConnMgr)
 	}
 	if cfg.TimerImpl != timerlist.ImplHeap && cfg.TimerImpl != timerlist.ImplWheel {
 		return nil, fmt.Errorf("core: unknown timer implementation %q", cfg.TimerImpl)
@@ -339,9 +310,13 @@ func New(cfg Config) (Server, error) {
 	}
 }
 
-// substrate bundles the pieces every architecture shares.
+// substrate bundles the pieces every architecture shares: the proxy engine
+// and its stores, the pipeline body every received message runs (process),
+// and the Server accessors.
 type substrate struct {
 	cfg    Config
+	addr   string // the bound listen address, set by bind
+	engine *proxy.Engine
 	prof   *metrics.Profile
 	loc    *location.Service
 	db     *userdb.DB
@@ -350,8 +325,8 @@ type substrate struct {
 	ctrl   *overload.Controller
 	rec    *trace.Recorder
 	// tls is non-nil when the server speaks TLS on its stream sockets. The
-	// whole stream plumbing (StreamConn framing, coalescing, connmgr, fd
-	// cache) is unchanged — TLS is applied at the net.Conn seam
+	// whole stream plumbing (StreamConn framing, connmgr, fd cache) is
+	// unchanged — TLS is applied at the net.Conn seam
 	// in wrapStream/dialStream, so steady-state cost converges to the TCP
 	// persistent path once handshakes are amortized.
 	tls *transport.TLSContext
@@ -368,7 +343,7 @@ type substrate struct {
 	observeParse func(*sipmsg.Message, time.Duration) // bound once; avoids a closure per message
 
 	// tcpWriteCalls/tcpWriteMsgs instrument every stream connection's write
-	// side; with coalescing on, calls < msgs is the measured amortization.
+	// side: one write call per message.
 	tcpWriteCalls *metrics.Counter
 	tcpWriteMsgs  *metrics.Counter
 }
@@ -465,8 +440,9 @@ func (s *substrate) streamKind() transport.Kind {
 	return transport.TCP
 }
 
-// engineConfig builds the proxy engine configuration for a bound address.
-func (s *substrate) engineConfig(kind transport.Kind, host string, port int) proxy.Config {
+// bind records the address the architecture listens on and builds the
+// proxy engine for it; host and port go into the engine's Via.
+func (s *substrate) bind(kind transport.Kind, addr, host string, port int) {
 	mode := proxy.ModeProxy
 	if s.cfg.Redirect {
 		mode = proxy.ModeRedirect
@@ -477,7 +453,8 @@ func (s *substrate) engineConfig(kind transport.Kind, host string, port int) pro
 		// the same back-off as admission rejections.
 		retryAfter = s.ctrl.RetryAfter()
 	}
-	return proxy.Config{
+	s.addr = addr
+	s.engine = proxy.NewEngine(proxy.Config{
 		Mode:         mode,
 		Auth:         s.cfg.Auth,
 		Routes:       s.cfg.Routes,
@@ -489,15 +466,15 @@ func (s *substrate) engineConfig(kind transport.Kind, host string, port int) pro
 		ViaPort:      port,
 		Domain:       s.cfg.Domain,
 		RetryAfter:   retryAfter,
-	}
+	}, s.loc, s.db, s.txns, s.prof)
 }
 
 // wrapStream applies the configured stream-socket policy to a newly
 // established TCP connection, accepted or dialed: Nagle off (SIP messages
 // are small and latency-sensitive), the optional socket buffer sizes,
-// write instrumentation, optional write coalescing, and the parse-time
-// observer. Every stream connection a server touches goes through here, so
-// the TCP knobs apply uniformly across the §3.1 and §6 architectures.
+// write instrumentation and the parse-time observer. Every stream
+// connection a server touches goes through here, so the TCP knobs apply
+// uniformly across the §3.1 and §6 architectures.
 func (s *substrate) wrapStream(nc net.Conn) *transport.StreamConn {
 	s.tuneSocket(nc)
 	if _, isTLS := nc.(*tls.Conn); s.tls != nil && !isTLS {
@@ -509,9 +486,6 @@ func (s *substrate) wrapStream(nc net.Conn) *transport.StreamConn {
 	}
 	sc := transport.NewStreamConn(nc)
 	sc.InstrumentWrites(s.tcpWriteCalls, s.tcpWriteMsgs)
-	if s.cfg.TCPCoalesce {
-		sc.EnableCoalesce()
-	}
 	sc.SetParseObserver(s.observeParse)
 	return sc
 }
@@ -633,14 +607,35 @@ func (s *substrate) admit(send proxy.Sender, m *sipmsg.Message, origin any, queu
 	return false
 }
 
+// process is the pipeline body of every architecture, run once the
+// receiver's transport-specific preamble is done: admission control before
+// any transaction or database work — a rejected request costs one 503 and
+// nothing else — then the engine, then the receiver's reference to m is
+// released (the engine retained the message if it needed it). queued is the
+// receiving worker's load signal for the threshold policy.
+func (s *substrate) process(send proxy.Sender, m *sipmsg.Message, origin any, queued int) {
+	if s.admit(send, m, origin, queued) {
+		s.handleTimed(send, m, origin)
+	}
+	m.Release()
+}
+
 // handleTimed runs the proxy engine on one message, feeding the processing
 // time to the occupancy estimator when that policy is active.
-func (s *substrate) handleTimed(e *proxy.Engine, send proxy.Sender, m *sipmsg.Message, origin any) {
+func (s *substrate) handleTimed(send proxy.Sender, m *sipmsg.Message, origin any) {
 	if !s.obsBusy {
-		e.Handle(send, m, origin)
+		s.engine.Handle(send, m, origin)
 		return
 	}
 	t0 := time.Now()
-	e.Handle(send, m, origin)
+	s.engine.Handle(send, m, origin)
 	s.ctrl.Observe(time.Since(t0))
 }
+
+func (s *substrate) Addr() string                { return s.addr }
+func (s *substrate) Engine() *proxy.Engine       { return s.engine }
+func (s *substrate) Profile() *metrics.Profile   { return s.prof }
+func (s *substrate) Location() *location.Service { return s.loc }
+func (s *substrate) DB() *userdb.DB              { return s.db }
+func (s *substrate) Timers() timerlist.Scheduler { return s.timers }
+func (s *substrate) Tracer() *trace.Recorder     { return s.rec }

@@ -174,10 +174,10 @@ func TestStreamPipelinedBurstOrder(t *testing.T) {
 }
 
 // TestStreamDisciplineManyConns runs calls over 64 connections and 8
-// workers on both stream architectures — the threaded one under affinity
-// dispatch — with half the callees reachable only by a connection the proxy
-// dials from inside the INVITE handler and adopts there. Run it under -race:
-// readers now run engine, fabric and fd-cache code themselves.
+// workers on both stream architectures, with half the callees reachable
+// only by a connection the proxy dials from inside the INVITE handler and
+// adopts there. Run it under -race: readers run engine, fabric and
+// fd-cache code themselves.
 func TestStreamDisciplineManyConns(t *testing.T) {
 	const pairs, calls = 32, 3
 	for _, tc := range []struct {
@@ -185,7 +185,7 @@ func TestStreamDisciplineManyConns(t *testing.T) {
 		cfg  Config
 	}{
 		{"tcp", Config{Arch: ArchTCP, Workers: 8, IPCMode: ipc.ModeUnix, FDCache: true, ConnMgr: connmgr.KindPQueue}},
-		{"threaded-affinity", Config{Arch: ArchThreaded, Workers: 8, Dispatch: DispatchAffinity, ConnMgr: connmgr.KindPQueue}},
+		{"threaded", Config{Arch: ArchThreaded, Workers: 8, ConnMgr: connmgr.KindPQueue}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := startServer(t, tc.cfg)

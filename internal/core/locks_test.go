@@ -11,16 +11,15 @@ import (
 	"gosip/internal/transport"
 )
 
-// TestThreadedAffinityEndToEnd runs the threaded architecture under
-// affinity dispatch with connection churn: calls must complete exactly as
-// under round-robin, and the shared-address-space property (zero IPC)
-// must hold.
-func TestThreadedAffinityEndToEnd(t *testing.T) {
+// TestThreadedChurnEndToEnd runs the threaded architecture with connection
+// churn and a short idle timeout: calls must complete while connections are
+// dispatched, adopted and retired underneath them, and the
+// shared-address-space property (zero IPC) must hold.
+func TestThreadedChurnEndToEnd(t *testing.T) {
 	srv := startServer(t, Config{
 		Arch:              ArchThreaded,
 		Workers:           4,
 		ConnMgr:           connmgr.KindPQueue,
-		Dispatch:          DispatchAffinity,
 		IdleTimeout:       200 * time.Millisecond,
 		IdleCheckInterval: 50 * time.Millisecond,
 	})
@@ -32,22 +31,6 @@ func TestThreadedAffinityEndToEnd(t *testing.T) {
 	}
 	if got := srv.Profile().Counter(metrics.MetricIPCCount).Value(); got != 0 {
 		t.Errorf("threaded server performed %d IPC requests", got)
-	}
-}
-
-// TestThreadedAffinityPinsPeers verifies the dispatch invariant directly:
-// every connection from one peer address hashes to the same worker.
-func TestThreadedAffinityPinsPeers(t *testing.T) {
-	srv := startServer(t, Config{Arch: ArchThreaded, Workers: 4, Dispatch: DispatchAffinity})
-	ts := srv.(*threadedServer)
-	peers := []string{"10.0.0.1:5060", "10.0.0.2:5060", "10.0.0.1:49152", "[::1]:5060"}
-	for _, p := range peers {
-		w := ts.workerFor(p)
-		for i := 0; i < 8; i++ {
-			if got := ts.workerFor(p); got != w {
-				t.Fatalf("peer %q dispatched to workers %d and %d", p, w.id, got.id)
-			}
-		}
 	}
 }
 
@@ -108,13 +91,18 @@ func checkLossyTimerLoad(t *testing.T, srv Server) {
 	}
 }
 
-// TestConfigRejectsBadKnobs pins the validation: junk timer or dispatch
-// policies fail fast instead of silently running the default.
+// TestConfigRejectsBadKnobs pins the validation: a junk timer, IPC fabric
+// or connection manager fails fast instead of panicking on the first fd
+// request or silently running the default.
 func TestConfigRejectsBadKnobs(t *testing.T) {
-	if _, err := New(Config{Arch: ArchUDP, TimerImpl: "calendar"}); err == nil {
-		t.Error("unknown TimerImpl accepted")
-	}
-	if _, err := New(Config{Arch: ArchThreaded, Dispatch: "sticky"}); err == nil {
-		t.Error("unknown Dispatch accepted")
+	for name, cfg := range map[string]Config{
+		"TimerImpl": {Arch: ArchUDP, TimerImpl: "calendar"},
+		"IPCMode":   {Arch: ArchTCP, IPCMode: "unx"},
+		"ConnMgr":   {Arch: ArchTCP, ConnMgr: "pqeue"},
+	} {
+		if srv, err := New(cfg); err == nil {
+			srv.Close()
+			t.Errorf("unknown %s accepted", name)
+		}
 	}
 }

@@ -94,8 +94,11 @@ func TestAbruptClientDisconnect(t *testing.T) {
 		}
 		c.Close()
 	}
+	// Dial returns before the accept loop has run: a count of 0 read before
+	// every connection entered the table proves nothing.
+	accepted := srv.Profile().Counter(metrics.MetricConnsAccepted)
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && ts.ConnCount() > 0 {
+	for time.Now().Before(deadline) && (accepted.Value() < 10 || ts.ConnCount() > 0) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if got := ts.ConnCount(); got != 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"gosip/internal/connmgr"
 	"gosip/internal/fdcache"
 	"gosip/internal/ipc"
-	"gosip/internal/location"
 	"gosip/internal/sipmsg"
 	"gosip/internal/trace"
 )
@@ -53,19 +51,15 @@ type tcpServer struct {
 // goroutine only adopts connections from the supervisor's mailbox and runs
 // the periodic idle check.
 type tcpWorker struct {
-	id  int
+	*streamWorker
 	srv *tcpServer
-
-	newConns chan *conn.TCPConn
 
 	mu sync.Mutex
 	// waiting counts readers blocked on mu: the worker's queue, and the
 	// admission load signal.
 	waiting atomic.Int32
 
-	localMgr connmgr.Manager
-	cache    *fdcache.Cache // nil when the Figure 4 fix is disabled
-	sender   *tcpSender
+	cache *fdcache.Cache // nil when the Figure 4 fix is disabled
 }
 
 func newTCPServer(cfg Config) (Server, error) {
@@ -73,22 +67,19 @@ func newTCPServer(cfg Config) (Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := base.sub
-	fabric, err := ipc.NewFabric(cfg.IPCMode, cfg.Workers, cfg.IPCTimeout, sub.prof)
+	fabric, err := ipc.NewFabric(cfg.IPCMode, cfg.Workers, cfg.IPCTimeout, base.prof)
 	if err != nil {
 		base.ln.Close()
-		sub.close()
+		base.close()
 		return nil, err
 	}
 	// The supervisor's baseline strategy scans the shared table under its
 	// global lock (the paper's §5.2 pathology); the pqueue fix replaces it.
-	var supMgr connmgr.Manager
+	var supMgr connmgr.Manager = connmgr.NewTableScanner(base.table, base.prof)
 	if cfg.ConnMgr == connmgr.KindPQueue {
-		pq := connmgr.NewPQueue(sub.prof)
+		pq := connmgr.NewPQueue(base.prof)
 		pq.ReinsertDelay = cfg.SupervisorGrace
 		supMgr = pq
-	} else {
-		supMgr = connmgr.NewTableScanner(base.table, sub.prof)
 	}
 	srv := &tcpServer{
 		streamBase: base,
@@ -99,55 +90,40 @@ func newTCPServer(cfg Config) (Server, error) {
 		retired:    make(chan *conn.TCPConn, 256),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	var workers []*streamWorker
 	for i := 0; i < cfg.Workers; i++ {
-		w := &tcpWorker{
-			id:       i,
-			srv:      srv,
-			newConns: make(chan *conn.TCPConn, 64),
-			localMgr: connmgr.New(cfg.ConnMgr, sub.prof),
-		}
+		w := &tcpWorker{srv: srv}
+		w.streamWorker = base.newWorker(i, w)
 		if cfg.FDCache {
-			w.cache = fdcache.New(cfg.FDCacheCapacity, sub.prof)
+			w.cache = fdcache.New(cfg.FDCacheCapacity, base.prof)
 		}
-		w.sender = &tcpSender{w: w}
 		srv.workers = append(srv.workers, w)
+		workers = append(workers, w.streamWorker)
 	}
-	srv.wg.Add(2 + len(srv.workers))
-	go srv.acceptor()
+	srv.wg.Add(1)
 	go srv.supervisor()
-	for _, w := range srv.workers {
-		go w.run()
-	}
+	base.start(srv.toSupervisor, workers)
 	return srv, nil
 }
 
-// acceptor feeds new connections to the supervisor, which alone decides
-// ownership ("the supervisor accepts all connections on behalf of the
-// server"). In OpenSER the supervisor itself sits in accept(); splitting
+// toSupervisor feeds an accepted connection to the supervisor, which alone
+// decides ownership ("the supervisor accepts all connections on behalf of
+// the server"). In OpenSER the supervisor itself sits in accept(); splitting
 // the blocking accept from the supervisor loop is the Go equivalent, with
 // the handoff channel playing the listen backlog.
-func (s *tcpServer) acceptor() {
-	defer s.wg.Done()
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		sc := s.sub.wrapStream(nc)
-		c := s.table.Insert(sc, s.sub.cfg.IdleTimeout)
-		select {
-		case s.accepts <- c:
-		case <-s.closed:
-			s.table.Remove(c)
-			return
-		}
+func (s *tcpServer) toSupervisor(c *conn.TCPConn) bool {
+	select {
+	case s.accepts <- c:
+		return true
+	case <-s.closed:
+		return false
 	}
 }
 
 // supervisor is the single connection-management process.
 func (s *tcpServer) supervisor() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.sub.cfg.IdleCheckInterval)
+	ticker := time.NewTicker(s.cfg.IdleCheckInterval)
 	defer ticker.Stop()
 	for {
 		s.assignPending()
@@ -177,7 +153,7 @@ func (s *tcpServer) supervisor() {
 // supervisor priority boost absent (§4.3), each request first pays the
 // scheduling penalty, starving all blocked workers.
 func (s *tcpServer) serveFD(req ipc.Request) {
-	if p := s.sub.cfg.SupervisorPenalty; p > 0 {
+	if p := s.cfg.SupervisorPenalty; p > 0 {
 		time.Sleep(p)
 	}
 	c := s.table.Get(req.ConnID)
@@ -234,7 +210,7 @@ func (s *tcpServer) destroy(c *conn.TCPConn) {
 // connections the workers have returned, once the additional grace period
 // has elapsed.
 func (s *tcpServer) idleCheck(now time.Time) {
-	grace := s.sub.cfg.SupervisorGrace
+	grace := s.cfg.SupervisorGrace
 	expired := s.supMgr.Expired(now, func(c *conn.TCPConn, now time.Time) bool {
 		return c.State() == conn.StateWorkerReturned && !now.Before(c.Deadline().Add(grace))
 	})
@@ -245,31 +221,11 @@ func (s *tcpServer) idleCheck(now time.Time) {
 
 // --- worker side ---
 
-func (w *tcpWorker) run() {
-	defer w.srv.wg.Done()
-	ticker := time.NewTicker(w.srv.sub.cfg.IdleCheckInterval)
-	defer ticker.Stop()
-	for {
-		sweep := false
-		select {
-		case c := <-w.newConns:
-			w.adopt(c)
-		case <-ticker.C:
-			sweep = true
-		case <-w.srv.closed:
-			return
-		}
-		w.mu.Lock()
-		w.idleCheck(time.Now(), sweep)
-		w.mu.Unlock()
-	}
-}
-
-// adopt takes ownership of a connection: only this worker will read it.
-func (w *tcpWorker) adopt(c *conn.TCPConn) {
-	c.SetOwner(w.id)
-	w.localMgr.Add(c)
-	w.srv.startReader(w, c)
+// idle is the worker loop's idle check, taken as the process: under mu.
+func (w *tcpWorker) idle(now time.Time, sweep bool) {
+	w.mu.Lock()
+	w.idleCheck(now, sweep)
+	w.mu.Unlock()
 }
 
 // handle runs one message as the worker process: under the worker's lock,
@@ -283,7 +239,7 @@ func (w *tcpWorker) handle(c *conn.TCPConn, m *sipmsg.Message) {
 	queued := int(w.waiting.Add(-1))
 	now := time.Now()
 	trace.Of(m).Gap(trace.StageQueue, now)
-	w.srv.process(w.sender, w.localMgr, c, m, queued, now)
+	w.srv.process(w.streamWorker, c, m, queued, now)
 	w.idleCheck(time.Now(), false)
 	w.mu.Unlock()
 }
@@ -295,7 +251,7 @@ func (w *tcpWorker) drop(c *conn.TCPConn) {
 	w.mu.Lock()
 	returned := c.MarkWorkerReturned()
 	if returned {
-		w.localMgr.Remove(c)
+		w.mgr.Remove(c)
 	}
 	w.idleCheck(time.Now(), false)
 	w.mu.Unlock()
@@ -312,9 +268,7 @@ func (w *tcpWorker) drop(c *conn.TCPConn) {
 // strategy (full scan vs priority queue) is the Figure 5 variable; the fd
 // cache is swept only on the periodic tick.
 func (w *tcpWorker) idleCheck(now time.Time, sweep bool) {
-	for _, c := range w.localMgr.Expired(now, func(c *conn.TCPConn, _ time.Time) bool {
-		return c.Owner() == w.id
-	}) {
+	for _, c := range w.expired(now) {
 		if c.MarkWorkerReturned() {
 			// "Closing the worker's descriptor": stop reading. The blocked
 			// reader is unblocked via a read deadline and exits.
@@ -326,52 +280,14 @@ func (w *tcpWorker) idleCheck(now time.Time, sweep bool) {
 	}
 }
 
-// tcpSender implements proxy.Sender with the §3.1 send rules.
-type tcpSender struct {
-	w *tcpWorker
-}
-
-func (ts *tcpSender) ToOrigin(origin any, m *sipmsg.Message) error {
-	c, ok := origin.(*conn.TCPConn)
-	if !ok {
-		return fmt.Errorf("core: TCP origin is %T", origin)
-	}
-	return ts.sendOnConn(c, m)
-}
-
-func (ts *tcpSender) ToBinding(b location.Binding, m *sipmsg.Message) error {
-	// Prefer the connection the binding was registered over (OpenSER's
-	// connection reuse): its remote address is the binding source.
-	if b.Source != "" {
-		if c := ts.w.srv.table.Lookup(b.Source); c != nil && c.State() == conn.StateActive {
-			return ts.sendOnConn(c, m)
-		}
-	}
-	return ts.ToAddr(b.Transport, b.Contact.HostPort(), m)
-}
-
-func (ts *tcpSender) ToAddr(_ string, hostport string, m *sipmsg.Message) error {
-	if c := ts.w.srv.table.Lookup(hostport); c != nil && c.State() == conn.StateActive {
-		return ts.sendOnConn(c, m)
-	}
-	// No usable connection: the worker establishes one (OpenSER's
-	// tcpconn_connect) and hands it to the supervisor for tracking; the
-	// dialing worker owns reads.
-	sc, hs, err := ts.w.srv.sub.dialStream(hostport)
-	if err != nil {
-		return err
-	}
-	if hs > 0 {
-		now := time.Now()
-		trace.Of(m).Add(trace.StageHandshake, now.Add(-hs), hs)
-	}
-	c := ts.w.srv.table.Insert(sc, ts.w.srv.sub.cfg.IdleTimeout)
-	ts.w.adopt(c)
+// adoptDialed gives a connection this worker dialed to the dialing worker,
+// which owns its reads, and to the supervisor for tracking.
+func (w *tcpWorker) adoptDialed(c *conn.TCPConn) {
+	w.adopt(c)
 	select {
-	case ts.w.srv.adopted <- c:
-	case <-ts.w.srv.closed:
+	case w.srv.adopted <- c:
+	case <-w.srv.closed:
 	}
-	return ts.sendOnConn(c, m)
 }
 
 // sendOnConn delivers a message on a specific connection following the
@@ -379,17 +295,11 @@ func (ts *tcpSender) ToAddr(_ string, hostport string, m *sipmsg.Message) error 
 // consults the fd cache (when enabled) and otherwise performs the blocking
 // supervisor IPC — and, in the baseline, closes the descriptor right after
 // sending, which is the behaviour Figure 4 indicts.
-func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
-	w := ts.w
+func (w *tcpWorker) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 	if c.Owner() == w.id {
-		if err := ipc.DirectHandle(c).Send(m); err != nil {
-			return err
-		}
-		c.Touch(time.Now(), w.srv.sub.cfg.IdleTimeout)
-		w.localMgr.Touch(c)
-		return nil
+		return w.writeDirect(c, m)
 	}
-	if w.srv.sub.tls != nil {
+	if w.srv.tls != nil {
 		// TLS breaks the fd-passing model: the connection's record-layer
 		// crypto state lives in this process's user space, so a duplicated
 		// descriptor in another worker would desynchronize the stream.
@@ -397,12 +307,8 @@ func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 		// of going through the fd cache or the supervisor fabric — the send
 		// lock serializes writers, and tls.pinned_sends measures how often
 		// the architecture's fd economy is bypassed.
-		w.srv.sub.tlsPinned.Inc()
-		if err := ipc.DirectHandle(c).Send(m); err != nil {
-			return err
-		}
-		c.Touch(time.Now(), w.srv.sub.cfg.IdleTimeout)
-		return nil
+		w.srv.tlsPinned.Inc()
+		return w.writeDirect(c, m)
 	}
 	if w.cache != nil {
 		tFd := time.Now()
@@ -410,7 +316,7 @@ func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 			trace.Of(m).Span(trace.StageFDCache, tFd)
 			err := h.Send(m)
 			if err == nil {
-				c.Touch(time.Now(), w.srv.sub.cfg.IdleTimeout)
+				c.Touch(time.Now(), w.srv.cfg.IdleTimeout)
 				return nil
 			}
 			w.cache.Invalidate(c.ID())
@@ -432,7 +338,7 @@ func (ts *tcpSender) sendOnConn(c *conn.TCPConn, m *sipmsg.Message) error {
 		h.Close()
 		return err
 	}
-	c.Touch(time.Now(), w.srv.sub.cfg.IdleTimeout)
+	c.Touch(time.Now(), w.srv.cfg.IdleTimeout)
 	if w.cache != nil {
 		w.cache.Put(c.ID(), h)
 	} else {

@@ -119,7 +119,7 @@ func TestThreadedSenderRejectsWrongOrigin(t *testing.T) {
 	srv := startServer(t, Config{Arch: ArchThreaded, Workers: 1})
 	w := srv.(*threadedServer).workers[0]
 	m := sipmsg.NewResponse(&sipmsg.Message{IsRequest: true, Method: sipmsg.OPTIONS}, sipmsg.StatusOK, "t")
-	if err := w.sender.ToOrigin(42, m); err == nil {
+	if err := w.ToOrigin(42, m); err == nil {
 		t.Error("integer origin accepted")
 	}
 }

@@ -9,12 +9,8 @@ import (
 
 	"gosip/internal/location"
 	"gosip/internal/metrics"
-	"gosip/internal/proxy"
 	"gosip/internal/sipmsg"
-	"gosip/internal/timerlist"
-	"gosip/internal/trace"
 	"gosip/internal/transport"
-	"gosip/internal/userdb"
 )
 
 // udpServer is the §3.2 architecture: all worker goroutines are symmetric,
@@ -33,10 +29,9 @@ import (
 // Timer-driven retransmissions ride a dedicated egress whose microsecond
 // linger is its only flush trigger. The default is one syscall per message.
 type udpServer struct {
-	sub      *substrate
+	*substrate
 	socks    []*transport.UDPSocket
 	egresses []*transport.Egress // all owned egress queues (empty unbatched)
-	engine   *proxy.Engine
 	faults   *faultGate
 
 	wg     sync.WaitGroup
@@ -170,17 +165,16 @@ func newUDPServer(cfg Config) (Server, error) {
 	}
 
 	local := socks[0].LocalAddr()
-	engine := proxy.NewEngine(sub.engineConfig(transport.UDP, local.Addr().String(), int(local.Port())), sub.loc, sub.db, sub.txns, sub.prof)
+	sub.bind(transport.UDP, local.String(), local.Addr().String(), int(local.Port()))
 	faults := newFaultGate(cfg.Faults)
 	cache := newResolveCache(sub.prof)
 	batching := cfg.UDPBatch > 1
 
 	srv := &udpServer{
-		sub:    sub,
-		socks:  socks,
-		engine: engine,
-		faults: faults,
-		closed: make(chan struct{}),
+		substrate: sub,
+		socks:     socks,
+		faults:    faults,
+		closed:    make(chan struct{}),
 	}
 
 	// The timer process sends retransmissions from outside any worker loop.
@@ -192,7 +186,7 @@ func newUDPServer(cfg Config) (Server, error) {
 		timerSender.egress = eg
 		srv.egresses = append(srv.egresses, eg)
 	}
-	engine.SetTimerSender(timerSender)
+	sub.engine.SetTimerSender(timerSender)
 
 	for i := 0; i < cfg.Workers; i++ {
 		sock := socks[i%len(socks)]
@@ -210,16 +204,17 @@ func newUDPServer(cfg Config) (Server, error) {
 	return srv, nil
 }
 
-// process runs the shared per-datagram path: fault gate, parse, admission,
-// engine. pkt.Data is consumed before process returns (the parser copies).
-// pkt.Src is a value; a request's is boxed as its origin, which the engine
-// may keep as the transaction's, and a response, which is routed by its
-// Via and needs no origin, costs no box at all.
+// process is the datagram preamble to the pipeline: fault gate and parse.
+// pkt.Data is consumed before process returns (the parser copies). pkt.Src
+// is a value; a request's is boxed as its origin, which the engine may keep
+// as the transaction's, and a response, which is routed by its Via and
+// needs no origin, costs no box at all. UDP has no per-worker queue, so the
+// load signal is 0.
 func (s *udpServer) process(sender *udpSender, pkt transport.Packet) {
 	if s.faults.dropRx() {
 		return
 	}
-	m, ok := s.sub.parseOrCount(pkt.Data)
+	m, ok := s.parseOrCount(pkt.Data)
 	if !ok {
 		return
 	}
@@ -227,16 +222,7 @@ func (s *udpServer) process(sender *udpSender, pkt transport.Packet) {
 	if m.IsRequest {
 		origin = pkt.Src
 	}
-	// Admission control runs before any transaction or database work: a
-	// rejected request costs one 503 serialization and nothing else.
-	if !s.sub.admit(sender, m, origin, 0) {
-		m.Release()
-		return
-	}
-	s.sub.handleTimed(s.engine, sender, m, origin)
-	// The engine retained the message if it needed it (transaction store);
-	// the worker's reference is done.
-	m.Release()
+	s.substrate.process(sender, m, origin, 0)
 }
 
 // worker is one symmetric UDP worker process: receive, process, forward.
@@ -266,7 +252,7 @@ func (s *udpServer) worker(sock *transport.UDPSocket, sender *udpSender) {
 // on this path at all.
 func (s *udpServer) batchWorker(sock *transport.UDPSocket, sender *udpSender, eg *transport.Egress) {
 	defer s.wg.Done()
-	br := sock.NewBatchReader(s.sub.cfg.UDPBatch)
+	br := sock.NewBatchReader(s.cfg.UDPBatch)
 	for {
 		n, err := sock.ReadBatch(br)
 		if err != nil {
@@ -293,14 +279,6 @@ func (s *udpServer) batchWorker(sock *transport.UDPSocket, sender *udpSender, eg
 func isClosedErr(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
-
-func (s *udpServer) Addr() string                { return s.socks[0].LocalAddr().String() }
-func (s *udpServer) Engine() *proxy.Engine       { return s.engine }
-func (s *udpServer) Profile() *metrics.Profile   { return s.sub.prof }
-func (s *udpServer) Location() *location.Service { return s.sub.loc }
-func (s *udpServer) DB() *userdb.DB              { return s.sub.db }
-func (s *udpServer) Timers() timerlist.Scheduler { return s.sub.timers }
-func (s *udpServer) Tracer() *trace.Recorder     { return s.sub.rec }
 
 // BufferSizes reports the effective socket buffer sizes of the first socket
 // (all are configured identically). Exposed for startup logging via
@@ -329,6 +307,6 @@ func (s *udpServer) Close() error {
 		}
 	}
 	s.wg.Wait()
-	s.sub.close()
+	s.close()
 	return err
 }

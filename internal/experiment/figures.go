@@ -245,8 +245,9 @@ func overloadRows() []Row {
 	return rows
 }
 
-// batching compares servers that differ only in how datagrams and stream
-// writes cross the kernel boundary. A bounded receive buffer makes burst
+// batching compares servers that differ only in how datagrams cross the
+// kernel boundary; the stream rows are each stream architecture's
+// one-write-per-message reference. A bounded receive buffer makes burst
 // absorption the regime of interest: a reader draining one datagram per
 // wakeup falls behind fan-in bursts and sheds kernel drops, while recvmmsg
 // empties the same buffer a batch per wakeup.
@@ -259,7 +260,7 @@ var batching = &Sweep{
 		// cost; stream rows stay stateful (the stateless response relay dials
 		// the Via sent-by, and a phone's ephemeral port is not listening).
 		c.Stateful = c.Arch != core.ArchUDP
-		// Coalescing is measured on top of both paper fixes.
+		// Stream rows run on top of both paper fixes.
 		conns(true, connmgr.KindPQueue)(c)
 		c.SoRcvBuf = 32 << 10
 	},
@@ -268,11 +269,7 @@ var batching = &Sweep{
 		{Name: "udp/batch8", Transport: transport.UDP, Ref: "udp/base", Server: func(c *core.Config) { c.UDPBatch = 8 }},
 		{Name: "udp/batch32", Transport: transport.UDP, Ref: "udp/base", Server: func(c *core.Config) { c.UDPBatch = 32 }},
 		{Name: "tcp/base", Transport: transport.TCP},
-		{Name: "tcp/coalesce", Transport: transport.TCP, Ref: "tcp/base", Server: func(c *core.Config) { c.TCPCoalesce = true }},
 		{Name: "threaded/base", Transport: transport.TCP, Server: func(c *core.Config) { c.Arch = core.ArchThreaded }},
-		{Name: "threaded/coalesce", Transport: transport.TCP, Ref: "threaded/base", Server: func(c *core.Config) {
-			c.Arch, c.TCPCoalesce = core.ArchThreaded, true
-		}},
 	},
 	Cols: []Column{
 		{"sys/op", func(c, _ *Cell) string { return fmt.Sprintf("%.2f", syscallsPerOp(c)) }},
@@ -309,9 +306,9 @@ func syscallsPerOp(c *Cell) float64 {
 }
 
 // locks compares the synchronization structure of the transaction hot
-// path: timer policy (binary heap vs sharded wheel), transaction-table
-// shard count, and threaded dispatch (round-robin vs peer affinity). Every
-// row is stateful, and a 4s linger keeps completed transactions and their
+// path: timer policy (binary heap vs sharded wheel) and transaction-table
+// shard count, over datagrams and the threaded stream server. Every row is
+// stateful, and a 4s linger keeps completed transactions and their
 // timers resident so the standing population reaches the tens of
 // thousands the heap-vs-wheel comparison is about.
 var locks = &Sweep{
@@ -325,12 +322,11 @@ var locks = &Sweep{
 		c.Txn.Linger = 4 * time.Second
 	},
 	Rows: []Row{
-		{Name: "udp/heap/txn1", Transport: transport.UDP, Server: timers(timerlist.ImplHeap, 1, "")},
-		{Name: "udp/heap/sharded", Transport: transport.UDP, Ref: "udp/heap/txn1", Server: timers(timerlist.ImplHeap, 0, "")},
-		{Name: "udp/wheel/sharded", Transport: transport.UDP, Ref: "udp/heap/sharded", Server: timers(timerlist.ImplWheel, 0, "")},
-		{Name: "threaded/rr", Transport: transport.TCP, Server: timers(timerlist.ImplHeap, 0, core.DispatchRR)},
-		{Name: "threaded/affinity", Transport: transport.TCP, Ref: "threaded/rr", Server: timers(timerlist.ImplHeap, 0, core.DispatchAffinity)},
-		{Name: "threaded/affinity+wheel", Transport: transport.TCP, Ref: "threaded/affinity", Server: timers(timerlist.ImplWheel, 0, core.DispatchAffinity)},
+		{Name: "udp/heap/txn1", Transport: transport.UDP, Server: timers(timerlist.ImplHeap, 1)},
+		{Name: "udp/heap/sharded", Transport: transport.UDP, Ref: "udp/heap/txn1", Server: timers(timerlist.ImplHeap, 0)},
+		{Name: "udp/wheel/sharded", Transport: transport.UDP, Ref: "udp/heap/sharded", Server: timers(timerlist.ImplWheel, 0)},
+		{Name: "threaded/heap/sharded", Transport: transport.TCP, Server: timers(timerlist.ImplHeap, 0)},
+		{Name: "threaded/wheel/sharded", Transport: transport.TCP, Ref: "threaded/heap/sharded", Server: timers(timerlist.ImplWheel, 0)},
 	},
 	Cols: []Column{
 		{"lock wait/op", func(c, _ *Cell) string {
@@ -348,13 +344,13 @@ var locks = &Sweep{
 	},
 }
 
-// timers selects a locks row's timer policy, transaction shard count, and
-// threaded dispatch (a dispatch also selects the threaded architecture).
-func timers(impl timerlist.Impl, txnShards int, dispatch core.Dispatch) func(*core.Config) {
+// timers selects a locks row's timer policy and transaction shard count; a
+// TCP row runs the threaded architecture.
+func timers(impl timerlist.Impl, txnShards int) func(*core.Config) {
 	return func(c *core.Config) {
 		c.TimerImpl, c.Txn.Shards = impl, txnShards
-		if dispatch != "" {
-			c.Arch, c.Dispatch = core.ArchThreaded, dispatch
+		if c.Arch == core.ArchTCP {
+			c.Arch = core.ArchThreaded
 		}
 	}
 }

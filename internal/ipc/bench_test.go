@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gosip/internal/metrics"
 	"gosip/internal/testutil"
 )
 
@@ -61,5 +62,44 @@ func BenchmarkDirectHandleSend(b *testing.B) {
 		if err := h.SendRaw(wire); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHandleSendContendedLocked has many workers push responses down
+// one shared connection through Handle.SendRaw, each send serialized by the
+// connection's send lock; msgs/syscall reports the write calls per message.
+func BenchmarkHandleSendContendedLocked(b *testing.B) {
+	t := &testing.T{}
+	env := newTestEnv(t, ModeChan, 1)
+	defer env.stop()
+	sc := env.conn.Stream()
+	prof := metrics.NewProfile()
+	calls := prof.Counter(metrics.MetricTCPWriteCalls)
+	msgs := prof.Counter(metrics.MetricTCPWriteMsgs)
+	sc.InstrumentWrites(calls, msgs)
+	go func() { // drain so the socket buffer never fills
+		buf := make([]byte, 256<<10)
+		for {
+			if _, err := env.peer.NetConn().Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	wire := testMsg(1).Serialize()
+	b.SetBytes(int64(len(wire)))
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		h := DirectHandle(env.conn)
+		for pb.Next() {
+			if err := h.SendRaw(wire); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if c := calls.Value(); c > 0 {
+		b.ReportMetric(float64(msgs.Value())/float64(c), "msgs/syscall")
 	}
 }

@@ -103,33 +103,15 @@ func (h *Handle) Send(m *sipmsg.Message) error {
 
 // SendRaw writes pre-serialized bytes under the connection's send lock. On
 // a closed handle it fails with conn.ErrClosed: the descriptor number may
-// already name something else.
-//
-// When the handle writes through the shared StreamConn with group-commit
-// coalescing armed, the outer send lock is skipped: WriteRaw is then
-// itself atomic, and taking sendMu first would serialize every writer
-// before it could reach the coalescing path — the reason -tcp-coalesce
-// measured as an honest null end-to-end (msgs/syscall pinned at 1.0) while
-// the transport-level benchmark batched 30+ messages per writev. The
-// lifecycle check SendLocked performs is preserved as a racy fast-fail;
-// the race is benign because closing the socket makes the write itself
-// return an error, the same outcome SendLocked's check produces. Unix-mode
-// handles hold a private descriptor, not the shared StreamConn, so they
-// keep the locked path: the lock is what keeps a message whole against
-// other holders of descriptors for the same socket, including across the
-// EAGAIN slow path of writeFD.
+// already name something else. The lock is what keeps a message whole
+// against other holders of descriptors for the same socket, including
+// across the EAGAIN slow path of a unix-mode handle's writeFD.
 func (h *Handle) SendRaw(data []byte) error {
 	if h.closed {
 		return conn.ErrClosed
 	}
 	if h.stream == nil {
 		return h.Conn.SendLocked(func() error { return h.fabric.writeFD(h, data) })
-	}
-	if h.stream.CoalesceActive() {
-		if h.Conn.State() == conn.StateClosed {
-			return conn.ErrClosed
-		}
-		return h.stream.WriteRaw(data)
 	}
 	return h.Conn.SendLocked(func() error { return h.stream.WriteRaw(data) })
 }
@@ -203,8 +185,11 @@ type workerPort struct {
 // wait for a full socket buffer to drain (<=0 disables the deadline and
 // restores block-forever semantics). Unix mode requires a platform with
 // AF_UNIX fd passing (see fdpass_linux.go); constructing it elsewhere
-// returns an error.
+// returns an error, as does any mode but ModeChan and ModeUnix.
 func NewFabric(mode Mode, nWorkers int, timeout time.Duration, profile *metrics.Profile) (*Fabric, error) {
+	if mode != ModeChan && mode != ModeUnix {
+		return nil, fmt.Errorf("ipc: unknown mode %q", mode)
+	}
 	f := &Fabric{
 		mode:    mode,
 		timeout: timeout,

@@ -334,6 +334,18 @@ func TestFabricMode(t *testing.T) {
 	f.Close() // double Close is safe
 }
 
+// TestFabricRejectsUnknownMode: a mode that is neither chan nor unix has no
+// socketpairs, so accepting it would leave the first fd request to
+// dereference a port that was never built.
+func TestFabricRejectsUnknownMode(t *testing.T) {
+	for _, mode := range []Mode{"unx", ""} {
+		if f, err := NewFabric(mode, 1, 0, metrics.NewProfile()); err == nil {
+			f.Close()
+			t.Errorf("NewFabric(%q) accepted an unknown mode", mode)
+		}
+	}
+}
+
 func TestHandleCloseWithoutCloser(t *testing.T) {
 	h := &Handle{}
 	if err := h.Close(); err != nil {

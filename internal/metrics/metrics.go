@@ -319,7 +319,7 @@ const (
 	MetricUDPSendSyscalls = "udp.send_syscalls"  // sendto/sendmmsg calls
 	MetricUDPSendMsgs     = "udp.send_msgs"      // datagrams sent by them
 	MetricUDPPoolDropped  = "udp.pool_dropped"   // receive buffers Release could not recycle
-	MetricTCPWriteCalls   = "tcp.write_syscalls" // write/writev calls on stream sends
+	MetricTCPWriteCalls   = "tcp.write_syscalls" // write calls on stream sends
 	MetricTCPWriteMsgs    = "tcp.write_msgs"     // messages carried by them
 
 	// Egress flush-reason counters: why each sendmmsg batch was cut.

@@ -49,10 +49,13 @@ func borrowTrace(dst, src *sipmsg.Message) *trace.Context {
 	return tc
 }
 
-// Sender delivers messages on behalf of the engine. Architectures
-// implement it: the UDP server writes datagrams; the TCP server resolves
-// connections, consulting the per-worker fd cache and falling back to
-// supervisor IPC.
+// Sender delivers messages on behalf of the engine. There are two: the UDP
+// server's writes datagrams; the one stream sender, shared by the tcp and
+// threaded architectures, reuses or dials the destination connection and
+// leaves the write to the architecture's handle policy — a direct write on
+// threaded; on tcp the owner's direct write, or for another worker's
+// connection the per-worker fd cache and a blocking fd request to the
+// supervisor.
 //
 // Ownership: a Sender is only ever given messages the engine built (a
 // response, a forwarded copy, an ACK or CANCEL of its own), never one that

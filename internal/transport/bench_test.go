@@ -92,9 +92,7 @@ func BenchmarkUDPRoundtripBatch32(b *testing.B) { benchUDPRoundtrip(b, 32) }
 // benchStreamWrite measures contended sends on one StreamConn: several
 // goroutines (more than GOMAXPROCS, so they genuinely queue on the write
 // path) push a response-sized payload each iteration while a peer drains.
-// With coalescing on, blocked writers hand their payloads to the flusher
-// and write calls drop below message count.
-func benchStreamWrite(b *testing.B, coalesce bool) {
+func BenchmarkStreamWriteContended(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -116,19 +114,16 @@ func benchStreamWrite(b *testing.B, coalesce bool) {
 	peer := <-accepted
 	defer peer.Close()
 	go io.Copy(io.Discard, peer)
-	benchContendedWrites(b, client, coalesce)
+	benchContendedWrites(b, client)
 }
 
 // benchContendedWrites wraps nc in an instrumented StreamConn and has eight
 // parallel writers per GOMAXPROCS push a response-sized payload through it,
 // reporting write calls per message as syscalls/op.
-func benchContendedWrites(b *testing.B, nc net.Conn, coalesce bool) {
+func benchContendedWrites(b *testing.B, nc net.Conn) {
 	prof := metrics.NewProfile()
 	sc := NewStreamConn(nc)
 	sc.InstrumentWrites(prof.Counter(metrics.MetricTCPWriteCalls), prof.Counter(metrics.MetricTCPWriteMsgs))
-	if coalesce {
-		sc.EnableCoalesce()
-	}
 
 	wire := testMsg(1).Serialize()
 	b.SetBytes(int64(len(wire)))
@@ -148,15 +143,10 @@ func benchContendedWrites(b *testing.B, nc net.Conn, coalesce bool) {
 	b.ReportMetric(float64(calls)/float64(msgs), "syscalls/op")
 }
 
-func BenchmarkStreamWriteContended(b *testing.B)          { benchStreamWrite(b, false) }
-func BenchmarkStreamWriteContendedCoalesced(b *testing.B) { benchStreamWrite(b, true) }
-
-// benchTLSStreamWrite is benchStreamWrite with the TLS layer in place:
-// the same contended-send shape, measured above crypto/tls, so the
-// syscalls/op column lines up with the plain-TCP benchmarks. Coalescing
-// matters more here — every write call that is saved also saves a TLS
-// record seal.
-func benchTLSStreamWrite(b *testing.B, coalesce bool) {
+// BenchmarkTLSStreamWriteContended is BenchmarkStreamWriteContended with
+// the TLS layer in place: the same contended-send shape, measured above
+// crypto/tls, so the syscalls/op column lines up with the plain-TCP one.
+func BenchmarkTLSStreamWriteContended(b *testing.B) {
 	srvCtx, cliCtx := newTLSPair(b, TLSOptions{}, TLSOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -181,11 +171,8 @@ func benchTLSStreamWrite(b *testing.B, coalesce bool) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	benchContendedWrites(b, client, coalesce)
+	benchContendedWrites(b, client)
 }
-
-func BenchmarkTLSStreamWriteContended(b *testing.B)          { benchTLSStreamWrite(b, false) }
-func BenchmarkTLSStreamWriteContendedCoalesced(b *testing.B) { benchTLSStreamWrite(b, true) }
 
 // BenchmarkEgressEnqueue is the proxy's batched send path: enqueue into
 // the worker egress and drain, as one receive batch's worth of responses

@@ -13,10 +13,9 @@ import (
 )
 
 // TLS is the secure stream transport. It rides the same StreamConn
-// machinery as TCP — framing reader, shared write lock, group-commit
-// coalescing — with a crypto/tls layer slotted between the socket and the
-// framing, so every stream-side mechanism (reader backpressure, the
-// connmgr policies, writev coalescing) applies unchanged.
+// machinery as TCP — framing reader, shared write lock — with a crypto/tls
+// layer slotted between the socket and the framing, so every stream-side
+// mechanism (reader backpressure, the connmgr policies) applies unchanged.
 const TLS Kind = "TLS"
 
 // DefaultHandshakeTimeout bounds explicit TLS handshakes: a peer that

@@ -294,31 +294,14 @@ func (s *UDPSocket) Close() error { return s.conn.Close() }
 // one goroutine (the owning worker); the write side may be shared, which
 // models OpenSER's "a connection may be written to by different sending
 // processes" with user-level locking for atomic sends.
-//
-// With coalescing enabled (EnableCoalesce) concurrent writers group-commit:
-// the first writer becomes the flusher and drains everything that queued
-// behind it through one writev (net.Buffers), so N contended sends cost one
-// syscall instead of N serialized ones.
 type StreamConn struct {
 	conn net.Conn
 	rd   *sipmsg.Reader
 
-	wmu      sync.Mutex
-	coalesce bool
-	wbusy    bool     // a flusher is mid-writev with wmu released
-	werr     error    // sticky write error: the connection is dead
-	pending  [][]byte // copies queued behind the active flusher
-	scratch  [][]byte // header copies handed to writev (consumed by it)
-	inflight [][]byte // original headers of scratch, for recycling
-	free     [][]byte // recycled copy buffers
-
+	wmu        sync.Mutex
 	writeCalls *metrics.Counter
 	writeMsgs  *metrics.Counter
 }
-
-// maxFreeWriteBufs bounds the per-connection recycle list for coalesced
-// write copies.
-const maxFreeWriteBufs = 64
 
 // NewStreamConn wraps an established TCP connection.
 func NewStreamConn(c net.Conn) *StreamConn {
@@ -331,18 +314,6 @@ func (c *StreamConn) InstrumentWrites(calls, msgs *metrics.Counter) {
 	c.writeCalls = calls
 	c.writeMsgs = msgs
 }
-
-// EnableCoalesce turns on group-commit write coalescing. Call before the
-// connection is shared between goroutines.
-func (c *StreamConn) EnableCoalesce() { c.coalesce = true }
-
-// CoalesceActive reports whether group-commit coalescing is armed, i.e.
-// whether WriteRaw is itself an atomic group-committing send. Callers that
-// hold an outer per-connection send lock (the IPC handle path) consult
-// this to skip that lock: serializing writers before they reach WriteRaw
-// would prevent them from ever contending inside it, which is exactly the
-// condition group commit needs to batch.
-func (c *StreamConn) CoalesceActive() bool { return c.coalesce }
 
 // SetParseObserver forwards fn to the framing reader: it receives each
 // delivered message and its parse-only time (blocked socket reads
@@ -362,88 +333,15 @@ func (c *StreamConn) WriteMessage(m *sipmsg.Message) error {
 	return c.WriteRaw(m.Serialize())
 }
 
-// WriteRaw sends pre-serialized bytes atomically. data is not retained
-// past the call: if it must queue behind an in-progress writev it is
-// copied first, because callers recycle serialization buffers the moment
-// WriteRaw returns.
+// WriteRaw sends pre-serialized bytes atomically, one write call per
+// message. data is not retained past the call.
 func (c *StreamConn) WriteRaw(data []byte) error {
 	c.wmu.Lock()
-	if !c.coalesce {
-		defer c.wmu.Unlock()
-		c.writeCalls.Inc()
-		c.writeMsgs.Inc()
-		_, err := c.conn.Write(data)
-		return err
-	}
-	if c.werr != nil {
-		err := c.werr
-		c.wmu.Unlock()
-		return err
-	}
-	if c.wbusy {
-		// A flusher is mid-writev: leave a copy for it and return. The
-		// flusher guarantees it drains everything queued before it exits,
-		// so the bytes are on their way — this is the group commit.
-		buf := c.getCopyLocked(data)
-		c.pending = append(c.pending, buf)
-		c.wmu.Unlock()
-		return nil
-	}
-	// Become the flusher: write own data (no copy needed — we hold the
-	// caller's buffer until the write completes), then drain whatever
-	// queued behind us while wmu was released.
-	c.wbusy = true
-	c.scratch = append(c.scratch[:0], data)
-	for {
-		bufs := net.Buffers(c.scratch)
-		c.writeCalls.Inc()
-		c.writeMsgs.Add(int64(len(bufs)))
-		c.wmu.Unlock()
-		_, err := bufs.WriteTo(c.conn)
-		c.wmu.Lock()
-		for _, b := range c.inflight {
-			c.putCopyLocked(b)
-		}
-		c.inflight = c.inflight[:0]
-		if err != nil && c.werr == nil {
-			c.werr = err
-		}
-		if len(c.pending) == 0 || c.werr != nil {
-			// Failed writes poison the connection: drop anything queued
-			// (its writers were told nil, but the peer will reset — SIP
-			// retransmission owns recovery) and surface the sticky error.
-			for _, b := range c.pending {
-				c.putCopyLocked(b)
-			}
-			c.pending = c.pending[:0]
-			break
-		}
-		c.scratch = append(c.scratch[:0], c.pending...)
-		c.inflight = append(c.inflight[:0], c.pending...)
-		c.pending = c.pending[:0]
-	}
-	c.wbusy = false
-	err := c.werr
-	c.wmu.Unlock()
+	defer c.wmu.Unlock()
+	c.writeCalls.Inc()
+	c.writeMsgs.Inc()
+	_, err := c.conn.Write(data)
 	return err
-}
-
-// getCopyLocked copies data into a recycled (or new) buffer. wmu held.
-func (c *StreamConn) getCopyLocked(data []byte) []byte {
-	var buf []byte
-	if n := len(c.free); n > 0 {
-		buf = c.free[n-1]
-		c.free = c.free[:n-1]
-	}
-	return append(buf[:0], data...)
-}
-
-// putCopyLocked returns a copy buffer to the recycle list. wmu held.
-func (c *StreamConn) putCopyLocked(b []byte) {
-	if b == nil || len(c.free) >= maxFreeWriteBufs {
-		return
-	}
-	c.free = append(c.free, b[:0])
 }
 
 // SetReadDeadline forwards to the underlying connection.
