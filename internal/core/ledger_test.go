@@ -18,7 +18,9 @@ import (
 // passed and they have all terminated. Every parsed message the server (and
 // the phones sharing the process) took from the pool has come back. A double
 // release already panics; this is the other half, the reference that is
-// never released.
+// never released. The stream read buffers are held to zero at both points:
+// the lingering transactions' origins are connections whose readers have
+// exited, and none of them still holds a buffer.
 func TestMessagePoolLedgerBalances(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -35,6 +37,7 @@ func TestMessagePoolLedgerBalances(t *testing.T) {
 			srv := startServer(t, tc.cfg)
 			gauge := func() float64 { return srv.Profile().Snapshot().Gauges[metrics.GaugeMsgPoolOutstanding] }
 			idle := gauge()
+			loans := func() float64 { return srv.Profile().Snapshot().Gauges[metrics.GaugeReadBufsOnLoan] }
 
 			res := runLoad(t, srv, tc.kind, 4, 5, 0)
 			assertClean(t, res, 20)
@@ -45,12 +48,15 @@ func TestMessagePoolLedgerBalances(t *testing.T) {
 			// The phones are gone and every transaction has its final: what
 			// is still out can only be a message in a worker's hands.
 			deadline := time.Now().Add(5 * time.Second)
-			for gauge() != idle && time.Now().Before(deadline) {
+			for (gauge() != idle || loans() != 0) && time.Now().Before(deadline) {
 				time.Sleep(10 * time.Millisecond)
 			}
 			if got := gauge(); got != idle {
 				t.Fatalf("%s = %v with every call finished, idle was %v: a parsed message was never released",
 					metrics.GaugeMsgPoolOutstanding, got, idle)
+			}
+			if got := loans(); got != 0 {
+				t.Fatalf("%s = %v with every call finished: a reader kept its buffer", metrics.GaugeReadBufsOnLoan, got)
 			}
 			timers := srv.Timers()
 			if live := int64(timers.Len()) - timers.CancelledResident(); live < 40 {
@@ -62,6 +68,9 @@ func TestMessagePoolLedgerBalances(t *testing.T) {
 			timers.CheckNow(time.Now().Add(2 * time.Hour))
 			if got := gauge(); got != idle {
 				t.Fatalf("%s = %v after the linger window, idle was %v", metrics.GaugeMsgPoolOutstanding, got, idle)
+			}
+			if got := loans(); got != 0 {
+				t.Fatalf("%s = %v after the linger window", metrics.GaugeReadBufsOnLoan, got)
 			}
 		})
 	}

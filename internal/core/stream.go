@@ -159,7 +159,9 @@ func (w *streamWorker) adopt(c *conn.TCPConn) {
 // handled in order and a busy pipeline leaves the next bytes in the socket
 // buffer, where kernel flow control pushes back on the peer (Shen &
 // Schulzrinne). EOF, reset, idle return, a failed TLS handshake and Close
-// all leave through drop.
+// all leave through drop. The reader owns the connection's read buffer and
+// gives it back before drop, so a connection that lingering transactions
+// still reference holds none.
 func (w *streamWorker) read(c *conn.TCPConn) {
 	defer w.b.wg.Done()
 	if w.b.handshakeAccepted(c) == nil {
@@ -171,6 +173,7 @@ func (w *streamWorker) read(c *conn.TCPConn) {
 			w.policy.handle(c, m)
 		}
 	}
+	c.Stream().ReleaseReadBuffer()
 	w.policy.drop(c)
 }
 

@@ -209,8 +209,10 @@ func TestRegisterStandard(t *testing.T) {
 			t.Errorf("stage histogram %q not pre-registered", n)
 		}
 	}
-	if _, ok := snap.Gauges[GaugeMsgPoolOutstanding]; !ok {
-		t.Errorf("gauge %q not pre-registered", GaugeMsgPoolOutstanding)
+	for _, g := range []string{GaugeMsgPoolOutstanding, GaugeReadBufsOnLoan} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Errorf("gauge %q not pre-registered", g)
+		}
 	}
 	if got := promName(GaugeMsgPoolOutstanding); got != "gosip_msg_pool_outstanding" {
 		t.Errorf("exported as %q", got)

@@ -396,6 +396,14 @@ const (
 // a leaked reference. Registered by RegisterStandard.
 const GaugeMsgPoolOutstanding = "msg.pool_outstanding"
 
+// GaugeReadBufsOnLoan counts sipmsg's pooled stream read buffers currently
+// borrowed: one per connection with a message partly received, plus one
+// per TLS reader blocked in a read. It is process-wide and reads zero on a
+// server whose connections are open and quiet; a floor that climbs is a
+// reader that stopped without giving its buffer back. Registered by
+// RegisterStandard.
+const GaugeReadBufsOnLoan = "msg.read_bufs_on_loan"
+
 // Per-stage latency histogram names: the paper's "where does the time go"
 // question (§5, Figures 4/5) answered as live distributions rather than
 // offline OProfile totals.
@@ -483,4 +491,5 @@ func (p *Profile) RegisterStandard() {
 	p.Histogram(HistRecvBatch)
 	p.Histogram(HistSendBatch)
 	p.SetGauge(GaugeMsgPoolOutstanding, func() float64 { return float64(sipmsg.PoolOutstanding()) })
+	p.SetGauge(GaugeReadBufsOnLoan, func() float64 { return float64(sipmsg.ReadBuffersOnLoan()) })
 }

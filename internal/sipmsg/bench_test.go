@@ -60,12 +60,13 @@ func BenchmarkStreamFraming(b *testing.B) {
 	wire := m.Serialize()
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
-	var p StreamParser
+	r := NewReader(repeatReader{wire})
 	for i := 0; i < b.N; i++ {
-		p.Feed(wire)
-		if _, err := p.Next(); err != nil {
+		m, err := r.ReadMessage()
+		if err != nil {
 			b.Fatal(err)
 		}
+		m.Release()
 	}
 }
 

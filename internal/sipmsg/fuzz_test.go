@@ -2,6 +2,7 @@ package sipmsg
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -60,9 +61,11 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzStreamParser checks the TCP framer against arbitrary chunk splits of
-// arbitrary bytes: no panics, and whatever messages come out must be
-// parseable on their own.
+// FuzzStreamParser checks the Reader's framer against arbitrary chunk
+// splits of arbitrary bytes: no panics; the split stream frames exactly the
+// messages, and ends with the same error, as the stream read whole; every
+// framed message reparses with Parse to the same wire form; and the
+// buffer goes back however the stream ends.
 func FuzzStreamParser(f *testing.F) {
 	f.Add([]byte(sampleInvite), uint8(3))
 	f.Add([]byte("\r\n\r\nINVITE sip:a@b SIP/2.0\r\nContent-Length: 0\r\n\r\n"), uint8(1))
@@ -70,29 +73,48 @@ func FuzzStreamParser(f *testing.F) {
 		f.Add([]byte(tc.raw), uint8(5))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		whole, wholeErr := frameAll(t, &chunkReader{data: data, next: func(rest int) int { return rest }})
 		step := int(chunk)%7 + 1
-		var p StreamParser
-		for len(data) > 0 {
-			n := step
-			if n > len(data) {
-				n = len(data)
-			}
-			p.Feed(data[:n])
-			data = data[n:]
-			for {
-				m, err := p.Next()
-				if err != nil {
-					break // incomplete or fatal framing error: both fine
-				}
-				m2, err := Parse(m.Serialize())
-				if err != nil {
-					t.Fatalf("framed message does not reparse: %v", err)
-				}
-				m2.Release()
-				m.Release()
+		split, splitErr := frameAll(t, &chunkReader{data: data, next: func(int) int { return step }})
+		if len(split) != len(whole) {
+			t.Fatalf("split into %d-byte reads: %d messages, read whole: %d", step, len(split), len(whole))
+		}
+		for i := range split {
+			if split[i] != whole[i] {
+				t.Fatalf("message %d differs when split:\n%q\nwhole:\n%q", i, split[i], whole[i])
 			}
 		}
+		if (splitErr == io.EOF) != (wholeErr == io.EOF) {
+			t.Fatalf("split stream ends with %v, whole with %v", splitErr, wholeErr)
+		}
+		if n := ReadBuffersOnLoan(); n != 0 {
+			t.Fatalf("%d read buffers on loan after the stream ended", n)
+		}
 	})
+}
+
+// frameAll reads src to its end and returns each framed message's wire
+// form, having checked that Parse reads it back to the same form.
+func frameAll(t *testing.T, src io.Reader) ([]string, error) {
+	r := NewReader(src)
+	var out []string
+	for {
+		m, err := r.ReadMessage()
+		if err != nil {
+			return out, err
+		}
+		wire := m.Serialize()
+		m2, err := Parse(wire)
+		if err != nil {
+			t.Fatalf("framed message does not reparse: %v", err)
+		}
+		if again := m2.Serialize(); !bytes.Equal(again, wire) {
+			t.Fatalf("Parse disagrees with the framer:\n%q\n%q", wire, again)
+		}
+		out = append(out, string(wire))
+		m2.Release()
+		m.Release()
+	}
 }
 
 // viaBranchSeeds are Via values on which the scanner and the map-building

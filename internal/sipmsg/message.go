@@ -2,6 +2,12 @@
 // serialization, header manipulation, and stream framing for
 // connection-oriented transports.
 //
+// Two pools back the receive path. Parsed messages come from a message
+// pool and go back with Release (PoolOutstanding is its ledger). A stream
+// Reader borrows its read buffer from a buffer pool only while bytes are
+// pending and frames messages out of that buffer in place, so an idle
+// connection holds none (ReadBuffersOnLoan counts the loans).
+//
 // The package is deliberately self-contained (stdlib only) and covers the
 // subset of SIP exercised by a proxy handling REGISTER, INVITE, ACK, and BYE
 // transactions, which is the workload studied by Ram et al. (ISPASS 2008).
@@ -151,7 +157,7 @@ type Message struct {
 	wireOK bool
 
 	// Pool lifecycle. pooled marks messages obtained from Get (directly or
-	// via Parse/StreamParser); refs counts owners. Release on a non-pooled
+	// via Parse or a Reader); refs counts owners. Release on a non-pooled
 	// message is a no-op, so built messages need no lifecycle discipline.
 	pooled bool
 	refs   atomic.Int32
@@ -218,7 +224,7 @@ func PoolOutstanding() int64 {
 }
 
 // Get returns an empty Message from the pool with one reference held by
-// the caller. Pair it with Release; Parse and StreamParser.Next use it
+// the caller. Pair it with Release; Parse and Reader.ReadMessage use it
 // internally, so every received message participates in the pool.
 func Get() *Message {
 	poolGets.Add(1)

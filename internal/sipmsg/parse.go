@@ -8,8 +8,9 @@ import (
 	"strings"
 )
 
-// Parse errors. ErrIncomplete is returned by the stream framer when more
-// bytes are needed; datagram parsing treats truncation as a hard error.
+// Parse errors. ErrIncomplete wraps Parse's report of a truncated datagram
+// (no blank line, or fewer body bytes than Content-Length); the stream
+// Reader waits for more bytes instead.
 var (
 	ErrIncomplete = errors.New("sipmsg: incomplete message")
 	ErrTooLarge   = errors.New("sipmsg: message exceeds size limit")

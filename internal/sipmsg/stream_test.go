@@ -2,12 +2,16 @@ package sipmsg
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func buildTestRequest(i int) *Message {
@@ -23,23 +27,64 @@ func buildTestRequest(i int) *Message {
 	})
 }
 
+// chunkReader is a stream source that hands out data in the chunk lengths
+// next picks from the bytes left (at least one each), then io.EOF. It
+// drives the Reader through every way a stream can split its messages.
+type chunkReader struct {
+	data []byte
+	next func(rest int) int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.data[:max(1, min(c.next(len(c.data)), len(c.data)))])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// readAll frames every message out of r and returns their Call-IDs, ending
+// at the first error, which it returns too (io.EOF on a clean end).
+func readAll(r *Reader) ([]string, error) {
+	var ids []string
+	for {
+		m, err := r.ReadMessage()
+		if err != nil {
+			return ids, err
+		}
+		ids = append(ids, m.CallID())
+		m.Release()
+	}
+}
+
+// checkNoLoans fails the test when a Reader still holds a read buffer.
+func checkNoLoans(t *testing.T) {
+	t.Helper()
+	if n := ReadBuffersOnLoan(); n != 0 {
+		t.Errorf("%d read buffers on loan, want 0", n)
+	}
+}
+
+// The TestStreamParser* tests hold the stream framer, which runs inside the
+// Reader, to the properties it has always had.
+
 func TestStreamParserSingleMessage(t *testing.T) {
 	m := buildTestRequest(5)
-	var p StreamParser
-	p.Feed(m.Serialize())
-	got, err := p.Next()
+	r := NewReader(bytes.NewReader(m.Serialize()))
+	got, err := r.ReadMessage()
 	if err != nil {
-		t.Fatalf("Next: %v", err)
+		t.Fatalf("ReadMessage: %v", err)
 	}
 	if got.CallID() != m.CallID() || !bytes.Equal(got.Body, m.Body) {
 		t.Errorf("mismatch: %s vs %s", got.ShortString(), m.ShortString())
 	}
-	if _, err := p.Next(); err != ErrIncomplete {
-		t.Errorf("empty parser returned %v, want ErrIncomplete", err)
+	got.Release()
+	checkNoLoans(t)
+	if _, err := r.ReadMessage(); err != io.EOF {
+		t.Errorf("drained reader returned %v, want io.EOF", err)
 	}
-	if p.Buffered() != 0 {
-		t.Errorf("Buffered = %d", p.Buffered())
-	}
+	checkNoLoans(t)
 }
 
 func TestStreamParserArbitraryChunking(t *testing.T) {
@@ -60,23 +105,11 @@ func TestStreamParserArbitraryChunking(t *testing.T) {
 				wire = append(wire, "\r\n\r\n"...)
 			}
 		}
-		var p StreamParser
-		var got []string
-		for len(wire) > 0 {
-			k := 1 + r.Intn(len(wire))
-			p.Feed(wire[:k])
-			wire = wire[k:]
-			for {
-				m, err := p.Next()
-				if err != nil {
-					if isIncomplete(err) {
-						break
-					}
-					t.Logf("framing error: %v", err)
-					return false
-				}
-				got = append(got, m.CallID())
-			}
+		src := &chunkReader{data: wire, next: func(rest int) int { return 1 + r.Intn(rest) }}
+		got, err := readAll(NewReader(src))
+		if err != io.EOF {
+			t.Logf("framing error: %v", err)
+			return false
 		}
 		if len(got) != len(want) {
 			t.Logf("got %d messages, want %d", len(got), len(want))
@@ -87,7 +120,7 @@ func TestStreamParserArbitraryChunking(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return ReadBuffersOnLoan() == 0
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(check, cfg); err != nil {
@@ -97,32 +130,84 @@ func TestStreamParserArbitraryChunking(t *testing.T) {
 
 func TestStreamParserByteAtATime(t *testing.T) {
 	m := buildTestRequest(17)
-	wire := m.Serialize()
-	var p StreamParser
-	var got *Message
-	for _, b := range wire {
-		p.Feed([]byte{b})
-		msg, err := p.Next()
-		if err == nil {
-			got = msg
-		} else if !isIncomplete(err) {
-			t.Fatalf("framing error: %v", err)
-		}
+	wire := append(m.Serialize(), "\r\n"...)
+	wire = append(wire, buildTestRequest(18).Serialize()...)
+	got, err := readAll(NewReader(&chunkReader{data: wire, next: func(int) int { return 1 }}))
+	if err != io.EOF {
+		t.Fatalf("framing error: %v", err)
 	}
-	if got == nil {
-		t.Fatal("no message after full feed")
+	if len(got) != 2 || got[0] != m.CallID() {
+		t.Errorf("got %q, want two messages, the first %q", got, m.CallID())
 	}
-	if got.CallID() != m.CallID() {
-		t.Errorf("CallID mismatch")
-	}
+	checkNoLoans(t)
 }
 
 func TestStreamParserMalformedIsFatal(t *testing.T) {
-	var p StreamParser
-	p.Feed([]byte("GARBAGE NOT SIP\r\n\r\n"))
-	if _, err := p.Next(); err == nil || isIncomplete(err) {
-		t.Errorf("malformed stream returned %v", err)
+	r := NewReader(strings.NewReader("GARBAGE NOT SIP\r\n\r\n" + string(buildTestRequest(1).Serialize())))
+	_, err := r.ReadMessage()
+	if err == nil || err == io.EOF {
+		t.Fatalf("malformed stream returned %v", err)
 	}
+	// The boundaries are lost: the error stands, and the valid message
+	// behind the garbage is never framed.
+	if _, again := r.ReadMessage(); again != err {
+		t.Errorf("second read returned %v, want the framing error %v", again, err)
+	}
+	checkNoLoans(t)
+}
+
+// TestReaderOversizedIsBounded holds a partial message to the framer's
+// limits: a head that never ends fails with ErrTooLarge once it passes
+// MaxHeaderBytes, a body too long to accept as soon as its head arrives,
+// and both give the buffer back.
+func TestReaderOversizedIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name, wire string
+		maxRead    int // bytes the reader may take before refusing
+	}{
+		{"head", "INVITE sip:a@b SIP/2.0\r\nX-Pad: " + strings.Repeat("x", 2*MaxHeaderBytes), MaxHeaderBytes + 1000},
+		{"body", "INVITE sip:a@b SIP/2.0\r\nContent-Length: 1000000000\r\n\r\n" + strings.Repeat("x", 8<<10), 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &chunkReader{data: []byte(tc.wire), next: func(int) int { return 1000 }}
+			if _, err := NewReader(src).ReadMessage(); err != ErrTooLarge {
+				t.Fatalf("ReadMessage = %v, want ErrTooLarge", err)
+			}
+			if read := len(tc.wire) - len(src.data); read > tc.maxRead {
+				t.Errorf("read %d bytes before refusing, want <= %d", read, tc.maxRead)
+			}
+			checkNoLoans(t)
+		})
+	}
+}
+
+// TestReaderLargeMessageGrowsBuffer frames a message larger than a pooled
+// buffer, split across many reads.
+func TestReaderLargeMessageGrowsBuffer(t *testing.T) {
+	m := NewRequest(RequestSpec{
+		Method:     INVITE,
+		RequestURI: URI{User: "bob", Host: "example.com"},
+		From:       NameAddr{URI: URI{User: "alice", Host: "a.com"}, Params: map[string]string{"tag": "t1"}},
+		To:         NameAddr{URI: URI{User: "bob", Host: "example.com"}},
+		CallID:     "large@a.com",
+		CSeq:       1,
+		Via:        Via{Transport: "TCP", Host: "a.com", Port: 5071},
+		Body:       bytes.Repeat([]byte{'b'}, MaxBodyBytes),
+	})
+	wire := append(m.Serialize(), buildTestRequest(3).Serialize()...)
+	r := NewReader(&chunkReader{data: wire, next: func(int) int { return 1500 }})
+	got, err := r.ReadMessage()
+	if err != nil {
+		t.Fatalf("ReadMessage: %v", err)
+	}
+	if !bytes.Equal(got.Body, m.Body) {
+		t.Errorf("body of %d bytes, want %d", len(got.Body), len(m.Body))
+	}
+	got.Release()
+	if ids, err := readAll(r); err != io.EOF || len(ids) != 1 {
+		t.Errorf("after the large message: %q, %v", ids, err)
+	}
+	checkNoLoans(t)
 }
 
 func TestReaderOverPipe(t *testing.T) {
@@ -169,6 +254,109 @@ func TestReaderEOFMidMessage(t *testing.T) {
 	if _, err := r.ReadMessage(); err == nil {
 		t.Error("mid-message EOF not reported")
 	}
+	checkNoLoans(t)
+}
+
+// TestReaderRawConnLoopback drives the descriptor path over a loopback TCP
+// socket: messages split across writes, keep-alives, a parked reader that
+// holds no buffer and wakes on a read deadline, a timeout that keeps a
+// partial message, and EOF in the middle of one.
+func TestReaderRawConnLoopback(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	r := NewReader(srv)
+	if r.rc == nil {
+		t.Fatal("a TCP connection did not take the descriptor path")
+	}
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := cli.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(want *Message) {
+		t.Helper()
+		got, err := r.ReadMessage()
+		if err != nil {
+			t.Fatalf("ReadMessage: %v", err)
+		}
+		if got.CallID() != want.CallID() || !bytes.Equal(got.Body, want.Body) {
+			t.Fatalf("got %s, want %s", got.ShortString(), want.ShortString())
+		}
+		got.Release()
+	}
+
+	// One message in three writes, each read on its own, then keep-alives
+	// and a second message in one write.
+	m1, m2, m3 := buildTestRequest(40), buildTestRequest(41), buildTestRequest(42)
+	w1 := m1.Serialize()
+	go func() {
+		for _, part := range [][]byte{w1[:10], w1[10:200], w1[200:]} {
+			cli.Write(part)
+			time.Sleep(5 * time.Millisecond)
+		}
+		cli.Write(append([]byte("\r\n\r\n\r\n"), m2.Serialize()...))
+	}()
+	expect(m1)
+	expect(m2)
+	checkNoLoans(t)
+
+	// A parked reader holds nothing, and a deadline set from another
+	// goroutine wakes it.
+	woke := make(chan error, 1)
+	go func() {
+		_, err := r.ReadMessage()
+		woke <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	checkNoLoans(t)
+	srv.SetReadDeadline(time.Now())
+	select {
+	case err := <-woke:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("woken reader returned %v, want os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read deadline did not wake the parked reader")
+	}
+	checkNoLoans(t)
+
+	// A timeout with half a message pending keeps it: the rest completes it.
+	w3 := m3.Serialize()
+	send(w3[:100])
+	srv.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := r.ReadMessage(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("ReadMessage = %v, want a timeout", err)
+	}
+	if n := ReadBuffersOnLoan(); n != 1 {
+		t.Errorf("%d buffers on loan with a partial message pending, want 1", n)
+	}
+	srv.SetReadDeadline(time.Time{})
+	send(w3[100:])
+	expect(m3)
+	checkNoLoans(t)
+
+	// EOF mid-message is an error, not a clean end.
+	send(w3[:50])
+	cli.Close()
+	_, err = r.ReadMessage()
+	if err == nil || !strings.Contains(err.Error(), "sipmsg: connection closed mid-message (50 bytes buffered)") {
+		t.Fatalf("EOF mid-message returned %v", err)
+	}
+	checkNoLoans(t)
 }
 
 func TestSerializeParsePropertyQuick(t *testing.T) {

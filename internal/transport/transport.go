@@ -294,6 +294,12 @@ func (s *UDPSocket) Close() error { return s.conn.Close() }
 // one goroutine (the owning worker); the write side may be shared, which
 // models OpenSER's "a connection may be written to by different sending
 // processes" with user-level locking for atomic sends.
+//
+// The read side holds a pooled buffer only while a message is partly
+// received (see sipmsg.Reader): a quiet plain-TCP connection waits for
+// readability holding none. The reading goroutine gives back whatever it
+// still holds with ReleaseReadBuffer when it stops reading; Close does not,
+// since it may run while a read is in progress.
 type StreamConn struct {
 	conn net.Conn
 	rd   *sipmsg.Reader
@@ -326,6 +332,11 @@ func (c *StreamConn) SetParseObserver(fn func(*sipmsg.Message, time.Duration)) {
 func (c *StreamConn) ReadMessage() (*sipmsg.Message, error) {
 	return c.rd.ReadMessage()
 }
+
+// ReleaseReadBuffer returns the read side's buffer to the pool, dropping
+// any partial message. Only the reading goroutine may call it, once it has
+// stopped reading.
+func (c *StreamConn) ReleaseReadBuffer() { c.rd.Release() }
 
 // WriteMessage serializes and sends m atomically with respect to other
 // writers of this StreamConn.
