@@ -81,10 +81,6 @@ func main() {
 		olQueue      = flag.Int("overload-max-queue", 0, "threshold policy: per-worker budget of messages waiting for or in process on the receiving worker (0 = 64)")
 		olTarget     = flag.Float64("overload-target", 0, "occupancy policy: target worker busy fraction (0 = 0.85)")
 		retryAfter   = flag.Duration("retry-after", 0, "base Retry-After advertised on 503 rejections (0 = 1s)")
-		udpBatch     = flag.Int("udp-batch", 0, "datagrams per recvmmsg/sendmmsg call (0/1 = unbatched baseline)")
-		udpLinger    = flag.Duration("udp-linger", 0, "egress batch flush deadline (0 = default; needs -udp-batch > 1)")
-		soRcvbuf     = flag.Int("so-rcvbuf", 0, "requested SO_RCVBUF for proxy sockets (0 = kernel default)")
-		soSndbuf     = flag.Int("so-sndbuf", 0, "requested SO_SNDBUF for proxy sockets (0 = kernel default)")
 		timerImpl    = flag.String("timer-impl", "wheel", "timer data structure: wheel (sharded timing wheel) or heap (paper-faithful binary heap)")
 		timerShards  = flag.Int("timer-shards", 0, "timing-wheel shard count (0 = GOMAXPROCS; heap ignores this)")
 		txnShards    = flag.Int("txn-shards", 0, "transaction-table shards, rounded to a power of two (0 = max(16, 4x GOMAXPROCS))")
@@ -95,11 +91,9 @@ func main() {
 		txnTimerH    = flag.Duration("timer-h", 0, "ACK wait after a non-2xx INVITE final, Timer H (0 = 64*T1)")
 		txnLinger    = flag.Duration("txn-linger", 0, "completed-transaction absorb window for non-INVITE and 2xx finals, Timers J/K (0 = 2s)")
 		dbLatency    = flag.Duration("db-latency", 0, "simulated user-database lookup latency")
-		dbBackend    = flag.String("db-backend", "memory", "user-database driver: memory or sql (latency-modelled; uses -db-latency per query)")
 		dbPool       = flag.Int("db-pool", 0, "user-database connection-pool size (0 = unbounded)")
 		authCache    = flag.Int("auth-cache", 0, "credential-cache entries in front of the user database (0 = disabled)")
 		authCacheTTL = flag.Duration("auth-cache-ttl", 0, "credential-cache entry lifetime (0 = 60s when the cache is enabled)")
-		locShards    = flag.Int("loc-shards", 0, "location-service shards, rounded to a power of two (0 = 16)")
 		routesFlag   = flag.String("routes", "", "static next hops: domain=host:port[,domain=host:port...]")
 		dropRx       = flag.Float64("drop-rx", 0, "UDP inbound datagram loss probability (fault injection)")
 		dropTx       = flag.Float64("drop-tx", 0, "UDP outbound datagram loss probability (fault injection)")
@@ -115,13 +109,6 @@ func main() {
 		traceRing    = flag.Int("trace-ring", 0, "flight-recorder capacity in retained traces (0 = 256)")
 	)
 	flag.Parse()
-
-	switch overload.Policy(*olPolicy) {
-	case overload.PolicyNone, overload.PolicyThreshold, overload.PolicyOccupancy:
-	default:
-		fmt.Fprintf(os.Stderr, "sipproxyd: unknown -overload policy %q\n", *olPolicy)
-		os.Exit(1)
-	}
 
 	routes := map[string]string{}
 	if *routesFlag != "" {
@@ -153,10 +140,6 @@ func main() {
 		IdleCheckInterval: *checkEvery,
 		SupervisorPenalty: *penalty,
 		IPCTimeout:        *ipcTimeout,
-		UDPBatch:          *udpBatch,
-		EgressLinger:      *udpLinger,
-		SoRcvBuf:          *soRcvbuf,
-		SoSndBuf:          *soSndbuf,
 		TimerImpl:         timerlist.Impl(*timerImpl),
 		TimerShards:       *timerShards,
 		Overload: overload.Config{
@@ -174,19 +157,9 @@ func main() {
 	cfg.Txn.TimerD = *txnTimerD
 	cfg.Txn.TimerH = *txnTimerH
 	cfg.Txn.Linger = *txnLinger
-	cfg.LocShards = *locShards
+	cfg.DB.LookupLatency = *dbLatency
 	cfg.DB.PoolSize = *dbPool
 	cfg.DB.Cache = userdb.CacheConfig{Entries: *authCache, TTL: *authCacheTTL}
-	switch *dbBackend {
-	case "memory":
-		cfg.DB.LookupLatency = *dbLatency
-	case "sql":
-		// The SQL driver carries the latency itself, per Fetch.
-		cfg.DB.Backend = userdb.NewSQLBackend(*dbLatency)
-	default:
-		fmt.Fprintf(os.Stderr, "sipproxyd: unknown -db-backend %q\n", *dbBackend)
-		os.Exit(1)
-	}
 	cfg.Routes = routes
 	cfg.Faults = core.FaultConfig{DropRx: *dropRx, DropTx: *dropTx}
 	cfg.Trace = trace.Config{Sample: *traceSample, Slow: *traceSlow, Ring: *traceRing}
@@ -240,29 +213,14 @@ func main() {
 		fmt.Printf("sipproxyd: TLS: cert=%s resume=%v ticket-rotate=%v\n", src, *tlsResume, *tlsRotate)
 	}
 	if us, ok := srv.(interface{ ShardCount() int }); ok {
-		fmt.Printf("sipproxyd: udp: %d sockets on %s, udp-batch=%d\n", us.ShardCount(), srv.Addr(), *udpBatch)
+		fmt.Printf("sipproxyd: udp: %d sockets on %s\n", us.ShardCount(), srv.Addr())
 	}
 	if *timerImpl != "wheel" || *timerShards > 0 || *txnShards > 0 {
 		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d\n",
 			*timerImpl, *timerShards, *txnShards)
 	}
-	if *locShards > 0 || *authCache > 0 || *dbBackend != "memory" {
-		fmt.Printf("sipproxyd: registrar: loc-shards=%d db-backend=%s auth-cache=%d auth-cache-ttl=%v\n",
-			srv.Location().ShardCount(), *dbBackend, *authCache, *authCacheTTL)
-	}
-	if *soRcvbuf > 0 || *soSndbuf > 0 {
-		// Report what the kernel actually granted (it may clamp to
-		// rmem_max/wmem_max, and on Linux it doubles the request).
-		if bs, ok := srv.(interface{ BufferSizes() (int, int) }); ok {
-			rcv, snd := bs.BufferSizes()
-			if rcv == 0 && snd == 0 {
-				fmt.Printf("sipproxyd: socket buffers requested rcv=%d snd=%d (effective sizes unavailable)\n", *soRcvbuf, *soSndbuf)
-			} else {
-				fmt.Printf("sipproxyd: socket buffers requested rcv=%d snd=%d, effective rcv=%d snd=%d\n", *soRcvbuf, *soSndbuf, rcv, snd)
-			}
-		} else {
-			fmt.Printf("sipproxyd: socket buffers requested rcv=%d snd=%d (applied per accepted connection)\n", *soRcvbuf, *soSndbuf)
-		}
+	if *authCache > 0 {
+		fmt.Printf("sipproxyd: registrar: auth-cache=%d auth-cache-ttl=%v\n", *authCache, *authCacheTTL)
 	}
 
 	if cfg.Trace.Enabled() {

@@ -123,23 +123,6 @@ type Config struct {
 	// instead of hanging the worker (0 = 2s, negative = no deadline).
 	IPCTimeout time.Duration
 
-	// --- batched I/O knobs ---
-	// The zero values reproduce the paper-faithful one-syscall-per-message
-	// behaviour exactly.
-
-	// UDPBatch > 1 enables batched datagram I/O: each worker receives up to
-	// this many datagrams per recvmmsg call and queues its responses into a
-	// per-worker egress batch drained by sendmmsg.
-	UDPBatch int
-	// EgressLinger bounds how long a partially filled egress batch may wait
-	// before flushing (0 = transport.DefaultEgressLinger). Only meaningful
-	// with UDPBatch > 1.
-	EgressLinger time.Duration
-	// SoRcvBuf/SoSndBuf request socket buffer sizes (SO_RCVBUF/SO_SNDBUF)
-	// for the UDP sockets and every accepted or dialed TCP connection
-	// (0 = kernel default).
-	SoRcvBuf, SoSndBuf int
-
 	// --- TLS transport knobs (stream architectures only) ---
 
 	// TLS arms the TLS transport on the tcp/threaded architectures:
@@ -173,9 +156,6 @@ type Config struct {
 	Txn transaction.Config
 	// DB configures the simulated persistent store.
 	DB userdb.Config
-	// LocShards is the location-service shard count, rounded up to a power
-	// of two (0 = location.DefaultShards, the historical fixed count).
-	LocShards int
 	// LocSweepInterval is how often the registrar's expiry wheels advance
 	// (0 = 1s).
 	LocSweepInterval time.Duration
@@ -295,6 +275,11 @@ func New(cfg Config) (Server, error) {
 	if cfg.TimerImpl != timerlist.ImplHeap && cfg.TimerImpl != timerlist.ImplWheel {
 		return nil, fmt.Errorf("core: unknown timer implementation %q", cfg.TimerImpl)
 	}
+	switch cfg.Overload.Policy {
+	case "", overload.PolicyNone, overload.PolicyThreshold, overload.PolicyOccupancy:
+	default:
+		return nil, fmt.Errorf("core: unknown overload policy %q", cfg.Overload.Policy)
+	}
 	if cfg.TLS != nil && cfg.Arch != ArchTCP && cfg.Arch != ArchThreaded {
 		return nil, fmt.Errorf("core: TLS transport requires a stream architecture, not %q", cfg.Arch)
 	}
@@ -390,7 +375,6 @@ func newSubstrate(cfg Config) (*substrate, error) {
 		tls:       tlsCtx,
 		tlsPinned: prof.Counter(metrics.MetricTLSPinnedSends),
 		loc: location.NewService(location.Options{
-			Shards:        cfg.LocShards,
 			Profile:       prof,
 			SweepInterval: cfg.LocSweepInterval,
 		}),
@@ -490,20 +474,12 @@ func (s *substrate) wrapStream(nc net.Conn) *transport.StreamConn {
 	return sc
 }
 
-// tuneSocket applies the socket options to a raw TCP connection; anything
-// else (a *tls.Conn, whose socket was tuned before the TLS layer hid it) is
-// left alone.
+// tuneSocket sets TCP_NODELAY on a raw TCP connection; anything else (a
+// *tls.Conn, whose socket was tuned before the TLS layer hid it) is left
+// alone.
 func (s *substrate) tuneSocket(nc net.Conn) {
-	tc, ok := nc.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	_ = tc.SetNoDelay(true)
-	if s.cfg.SoRcvBuf > 0 {
-		_ = tc.SetReadBuffer(s.cfg.SoRcvBuf)
-	}
-	if s.cfg.SoSndBuf > 0 {
-		_ = tc.SetWriteBuffer(s.cfg.SoSndBuf)
+	if tc, ok := nc.(*net.TCPConn); ok {
+		_ = tc.SetNoDelay(true)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"gosip/internal/connmgr"
 	"gosip/internal/metrics"
+	"gosip/internal/overload"
 	"gosip/internal/timerlist"
 	"gosip/internal/transaction"
 	"gosip/internal/transport"
@@ -91,14 +92,17 @@ func checkLossyTimerLoad(t *testing.T, srv Server) {
 	}
 }
 
-// TestConfigRejectsBadKnobs pins the validation: a junk timer, IPC fabric
-// or connection manager fails fast instead of panicking on the first fd
-// request or silently running the default.
+// TestConfigRejectsBadKnobs pins the validation: a junk timer, IPC fabric,
+// connection manager or overload policy fails fast instead of panicking on
+// the first fd request or silently running the default — an unknown
+// overload policy would otherwise count every request as admitted by a
+// controller that admits everything.
 func TestConfigRejectsBadKnobs(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"TimerImpl": {Arch: ArchUDP, TimerImpl: "calendar"},
-		"IPCMode":   {Arch: ArchTCP, IPCMode: "unx"},
-		"ConnMgr":   {Arch: ArchTCP, ConnMgr: "pqeue"},
+		"TimerImpl":       {Arch: ArchUDP, TimerImpl: "calendar"},
+		"IPCMode":         {Arch: ArchTCP, IPCMode: "unx"},
+		"ConnMgr":         {Arch: ArchTCP, ConnMgr: "pqeue"},
+		"Overload.Policy": {Arch: ArchUDP, Overload: overload.Config{Policy: "thresold"}},
 	} {
 		if srv, err := New(cfg); err == nil {
 			srv.Close()

@@ -21,18 +21,12 @@ import (
 // address, so the kernel picks the worker for every datagram — hashing its
 // source 4-tuple, which keeps one peer's datagrams on one worker and in
 // order — and no two workers ever queue on one descriptor's lock. Where
-// SO_REUSEPORT is unavailable the workers share a single socket.
-//
-// With UDPBatch > 1 each worker receives a batch per recvmmsg call and
-// queues its responses into a per-worker egress buffer flushed by sendmmsg
-// when the worker finishes the batch — batch in, one syscall out.
-// Timer-driven retransmissions ride a dedicated egress whose microsecond
-// linger is its only flush trigger. The default is one syscall per message.
+// SO_REUSEPORT is unavailable the workers share a single socket. Every
+// datagram costs one recvfrom in and one sendto out.
 type udpServer struct {
 	*substrate
-	socks    []*transport.UDPSocket
-	egresses []*transport.Egress // all owned egress queues (empty unbatched)
-	faults   *faultGate
+	socks  []*transport.UDPSocket
+	faults *faultGate
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -92,29 +86,23 @@ func (rc *resolveCache) resolve(hostport string) (netip.AddrPort, error) {
 }
 
 // udpSender implements proxy.Sender for one worker (or the timer process):
-// it is bound to that worker's socket and, when batching is on, to
-// its egress queue. Without an egress it is safe for use from any
-// goroutine; with one it is still safe (the egress serializes internally),
-// but each worker owning its own keeps batches coherent per worker.
+// it is bound to that worker's socket and is safe for use from any
+// goroutine.
 type udpSender struct {
 	sock   *transport.UDPSocket
-	egress *transport.Egress // nil = direct single-datagram sends
 	faults *faultGate
 	cache  *resolveCache
 }
 
 // send is the single exit for all UDP transmissions: the message is
-// rendered into a pooled buffer that goes either to the egress queue (which
-// copies it) or straight to the socket, and is recycled on return.
+// rendered into a pooled buffer that goes straight to the socket and is
+// recycled on return.
 func (s *udpSender) send(m *sipmsg.Message, addr netip.AddrPort) error {
 	if s.faults.dropTx() {
 		return nil // silently lost in the simulated network
 	}
 	wire := m.RenderWire()
 	defer wire.Release()
-	if s.egress != nil {
-		return s.egress.Enqueue(wire.Bytes, addr)
-	}
 	return s.sock.WriteTo(wire.Bytes, addr)
 }
 
@@ -153,12 +141,7 @@ func newUDPServer(cfg Config) (Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	socks, err := transport.ListenUDPGroup(cfg.Addr, cfg.Workers, transport.UDPOptions{
-		BatchSize: cfg.UDPBatch,
-		RcvBuf:    cfg.SoRcvBuf,
-		SndBuf:    cfg.SoSndBuf,
-		Profile:   sub.prof,
-	})
+	socks, err := transport.ListenUDPGroup(cfg.Addr, cfg.Workers, transport.UDPOptions{Profile: sub.prof})
 	if err != nil {
 		sub.close()
 		return nil, err
@@ -168,7 +151,6 @@ func newUDPServer(cfg Config) (Server, error) {
 	sub.bind(transport.UDP, local.String(), local.Addr().String(), int(local.Port()))
 	faults := newFaultGate(cfg.Faults)
 	cache := newResolveCache(sub.prof)
-	batching := cfg.UDPBatch > 1
 
 	srv := &udpServer{
 		substrate: sub,
@@ -178,28 +160,13 @@ func newUDPServer(cfg Config) (Server, error) {
 	}
 
 	// The timer process sends retransmissions from outside any worker loop.
-	// It shares the first worker's socket; with batching on it gets its own
-	// egress, whose linger deadline is the only thing that flushes it.
-	timerSender := &udpSender{sock: socks[0], faults: faults, cache: cache}
-	if batching {
-		eg := transport.NewEgress(socks[0], cfg.UDPBatch, cfg.EgressLinger, sub.prof)
-		timerSender.egress = eg
-		srv.egresses = append(srv.egresses, eg)
-	}
-	sub.engine.SetTimerSender(timerSender)
+	// It shares the first worker's socket.
+	sub.engine.SetTimerSender(&udpSender{sock: socks[0], faults: faults, cache: cache})
 
 	for i := 0; i < cfg.Workers; i++ {
 		sock := socks[i%len(socks)]
-		sender := &udpSender{sock: sock, faults: faults, cache: cache}
 		srv.wg.Add(1)
-		if batching {
-			eg := transport.NewEgress(sock, cfg.UDPBatch, cfg.EgressLinger, sub.prof)
-			sender.egress = eg
-			srv.egresses = append(srv.egresses, eg)
-			go srv.batchWorker(sock, sender, eg)
-		} else {
-			go srv.worker(sock, sender)
-		}
+		go srv.worker(sock, &udpSender{sock: sock, faults: faults, cache: cache})
 	}
 	return srv, nil
 }
@@ -246,44 +213,9 @@ func (s *udpServer) worker(sock *transport.UDPSocket, sender *udpSender) {
 	}
 }
 
-// batchWorker is the batched variant: drain up to a batch of datagrams in
-// one recvmmsg, process them all, then flush the responses that queued up
-// in one sendmmsg. The reader owns its buffers, so no pool traffic occurs
-// on this path at all.
-func (s *udpServer) batchWorker(sock *transport.UDPSocket, sender *udpSender, eg *transport.Egress) {
-	defer s.wg.Done()
-	br := sock.NewBatchReader(s.cfg.UDPBatch)
-	for {
-		n, err := sock.ReadBatch(br)
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if isClosedErr(err) {
-				return
-			}
-			continue
-		}
-		pkts := br.Packets()[:n]
-		for i := range pkts {
-			s.process(sender, pkts[i])
-		}
-		// Batch in, one sendmmsg out: everything this batch produced leaves
-		// together instead of waiting out the linger.
-		eg.Drain()
-	}
-}
-
 func isClosedErr(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
-
-// BufferSizes reports the effective socket buffer sizes of the first socket
-// (all are configured identically). Exposed for startup logging via
-// type assertion.
-func (s *udpServer) BufferSizes() (rcv, snd int) { return s.socks[0].BufferSizes() }
 
 // ShardCount reports the number of listening sockets.
 func (s *udpServer) ShardCount() int { return len(s.socks) }
@@ -294,11 +226,6 @@ func (s *udpServer) Close() error {
 		return nil
 	default:
 		close(s.closed)
-	}
-	// Egress queues first: their final flush still has live sockets, and
-	// late timer sends fall through to the direct path afterwards.
-	for _, eg := range s.egresses {
-		eg.Close()
 	}
 	var err error
 	for _, sock := range s.socks {

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
-	"strconv"
 	"syscall"
 	"testing"
 	"time"
@@ -305,51 +304,85 @@ func TestUDPPipelinedOrder(t *testing.T) {
 // a read after serving traffic: goroutines, descriptors and pooled messages
 // return to where they started.
 func TestUDPServerCloseParked(t *testing.T) {
-	for _, batch := range []int{0, 16} {
-		t.Run("batch="+strconv.Itoa(batch), func(t *testing.T) {
-			// Start the runtime's poller first so its descriptors predate the
-			// count.
-			if s, err := transport.ListenUDP("127.0.0.1:0"); err == nil {
-				s.Close()
-			}
-			goroutines := runtime.NumGoroutine()
-			fds := testutil.OpenFDs(t)
-			pooled := sipmsg.PoolOutstanding()
+	// Start the runtime's poller first so its descriptors predate the
+	// count.
+	if s, err := transport.ListenUDP("127.0.0.1:0"); err == nil {
+		s.Close()
+	}
+	goroutines := runtime.NumGoroutine()
+	fds := testutil.OpenFDs(t)
+	pooled := sipmsg.PoolOutstanding()
 
-			srv, err := New(Config{Arch: ArchUDP, Workers: 8, Stateful: true, Domain: testDomain, UDPBatch: batch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.DB().ProvisionN(8, testDomain)
-			cli, err := transport.ListenUDP("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := srv.(*udpServer).socks[0].LocalAddr()
-			for i := 0; i < 8; i++ {
-				if err := cli.WriteTo(udpRegister(cli.LocalAddr(), fmt.Sprintf("user%d", i), 1), dst); err != nil {
-					t.Fatal(err)
-				}
-				cli.SetReadDeadline(time.Now().Add(5 * time.Second))
-				pkt, err := cli.ReadPacket()
-				if err != nil {
-					t.Fatalf("REGISTER %d: %v", i, err)
-				}
-				cli.Release(pkt)
-			}
-			cli.Close()
-			if err := srv.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
+	srv, err := New(Config{Arch: ArchUDP, Workers: 8, Stateful: true, Domain: testDomain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.DB().ProvisionN(8, testDomain)
+	cli, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := srv.(*udpServer).socks[0].LocalAddr()
+	for i := 0; i < 8; i++ {
+		if err := cli.WriteTo(udpRegister(cli.LocalAddr(), fmt.Sprintf("user%d", i), 1), dst); err != nil {
+			t.Fatal(err)
+		}
+		cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+		pkt, err := cli.ReadPacket()
+		if err != nil {
+			t.Fatalf("REGISTER %d: %v", i, err)
+		}
+		cli.Release(pkt)
+	}
+	cli.Close()
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
 
-			testutil.CheckGoroutines(t, goroutines)
-			for deadline := time.Now().Add(2 * time.Second); testutil.OpenFDs(t) != fds && time.Now().Before(deadline); {
-				time.Sleep(10 * time.Millisecond)
-			}
-			testutil.CheckFDs(t, fds)
-			if got := sipmsg.PoolOutstanding(); got != pooled {
-				t.Errorf("%d pooled messages outstanding after Close, %d before", got, pooled)
-			}
-		})
+	testutil.CheckGoroutines(t, goroutines)
+	for deadline := time.Now().Add(2 * time.Second); testutil.OpenFDs(t) != fds && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	testutil.CheckFDs(t, fds)
+	if got := sipmsg.PoolOutstanding(); got != pooled {
+		t.Errorf("%d pooled messages outstanding after Close, %d before", got, pooled)
+	}
+}
+
+// TestUDPSendAllocs pins the steady-state UDP send path at zero
+// allocations: the message renders into a pooled buffer, a literal
+// destination is parsed in place, and the socket write takes the netip
+// value as it is.
+func TestUDPSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	s, _ := newTestSender(t)
+	sink, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	dst := sink.LocalAddr().String()
+	m := udpTestMsg()
+	// Warm the render buffer pool.
+	if err := s.ToAddr("UDP", dst, m); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if err := s.ToAddr("UDP", dst, m); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("UDP send allocates %.1f/op, want 0", got)
+	}
+	// ToOrigin takes the source address a receive boxed and must be free too.
+	addr := any(sink.LocalAddr())
+	if got := testing.AllocsPerRun(500, func() {
+		if err := s.ToOrigin(addr, m); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("ToOrigin allocates %.1f/op, want 0", got)
 	}
 }

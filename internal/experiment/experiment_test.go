@@ -142,8 +142,8 @@ func walk(prefix string, v reflect.Value, out *[]string) {
 // references resolve, and single-load sweeps take the middle of an
 // explicit load list.
 func TestScales(t *testing.T) {
-	if len(Sweeps()) != 15 {
-		t.Errorf("registry holds %d sweeps, want the 15 -fig names", len(Sweeps()))
+	if len(Sweeps()) != 14 {
+		t.Errorf("registry holds %d sweeps, want the 14 -fig names", len(Sweeps()))
 	}
 	for _, s := range Sweeps() {
 		if Lookup(s.Name) != s {

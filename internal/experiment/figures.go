@@ -22,7 +22,7 @@ var registry = []*Sweep{
 	paperFigure("4", "Figure 4: File descriptor cache performance (ops/s)", true, connmgr.KindScan),
 	paperFigure("5", "Figure 5: Priority queue performance (ops/s)", true, connmgr.KindPQueue),
 	profile, priority, arch, scenarios, loss, stages,
-	transports, overloadSweep, batching, locks, register, outliers,
+	transports, overloadSweep, locks, register, outliers,
 }
 
 // idle is the paper's tuned connection management (§4.3): connections
@@ -243,66 +243,6 @@ func overloadRows() []Row {
 		}
 	}
 	return rows
-}
-
-// batching compares servers that differ only in how datagrams cross the
-// kernel boundary; the stream rows are each stream architecture's
-// one-write-per-message reference. A bounded receive buffer makes burst
-// absorption the regime of interest: a reader draining one datagram per
-// wakeup falls behind fan-in bursts and sheds kernel drops, while recvmmsg
-// empties the same buffer a batch per wakeup.
-var batching = &Sweep{
-	Name:  "batching",
-	Title: "Batched I/O sweep: ops/s and network syscalls per completed operation",
-	Loads: []int{8, 128}, Calls: 50, Workers: 4, Reps: 5,
-	Server: func(c *core.Config) {
-		// UDP rows run the §2 stateless proxy, isolating the kernel-crossing
-		// cost; stream rows stay stateful (the stateless response relay dials
-		// the Via sent-by, and a phone's ephemeral port is not listening).
-		c.Stateful = c.Arch != core.ArchUDP
-		// Stream rows run on top of both paper fixes.
-		conns(true, connmgr.KindPQueue)(c)
-		c.SoRcvBuf = 32 << 10
-	},
-	Rows: []Row{
-		{Name: "udp/base", Transport: transport.UDP},
-		{Name: "udp/batch8", Transport: transport.UDP, Ref: "udp/base", Server: func(c *core.Config) { c.UDPBatch = 8 }},
-		{Name: "udp/batch32", Transport: transport.UDP, Ref: "udp/base", Server: func(c *core.Config) { c.UDPBatch = 32 }},
-		{Name: "tcp/base", Transport: transport.TCP},
-		{Name: "threaded/base", Transport: transport.TCP, Server: func(c *core.Config) { c.Arch = core.ArchThreaded }},
-	},
-	Cols: []Column{
-		{"sys/op", func(c, _ *Cell) string { return fmt.Sprintf("%.2f", syscallsPerOp(c)) }},
-		{"msgs/syscall", func(c, _ *Cell) string {
-			calls, msgs := netSyscalls(c)
-			if calls == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.1f", msgs/calls)
-		}},
-		{"sys/op vs ref", func(c, ref *Cell) string {
-			if ref == nil || syscallsPerOp(c) == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("÷%.1f", syscallsPerOp(ref)/syscallsPerOp(c))
-		}},
-	},
-}
-
-// netSyscalls is a cell's network-crossing count — datagram receive and
-// send calls plus stream write calls — and the SIP messages they moved.
-func netSyscalls(c *Cell) (calls, msgs float64) {
-	n := c.Snapshot.Counters
-	return float64(n[metrics.MetricUDPRecvSyscalls] + n[metrics.MetricUDPSendSyscalls] + n[metrics.MetricTCPWriteCalls]),
-		float64(n[metrics.MetricUDPRecvMsgs] + n[metrics.MetricUDPSendMsgs] + n[metrics.MetricTCPWriteMsgs])
-}
-
-func syscallsPerOp(c *Cell) float64 {
-	if c.Result.Ops == 0 {
-		return 0
-	}
-	calls, _ := netSyscalls(c)
-	return calls / float64(c.Result.Ops)
 }
 
 // locks compares the synchronization structure of the transaction hot

@@ -310,23 +310,16 @@ const (
 	MetricIPCWriteWaits    = "ipc.write_waits"
 	MetricIPCWriteTimeouts = "ipc.write_timeouts"
 
-	// Batched-I/O counters (internal/transport). Syscall counts divide into
-	// message counts to give the syscalls-per-message amortization the
-	// batching experiment reports: 1.0 on the unbatched paths, 1/batch when
-	// recvmmsg/sendmmsg fill.
-	MetricUDPRecvSyscalls = "udp.recv_syscalls"  // recvfrom/recvmmsg calls
+	// Network I/O counters (internal/transport): the syscalls each path
+	// made and the messages they carried. Every path moves one message per
+	// call, which the benchmark's messages-per-syscall rows report.
+	MetricUDPRecvSyscalls = "udp.recv_syscalls"  // recvfrom calls
 	MetricUDPRecvMsgs     = "udp.recv_msgs"      // datagrams delivered by them
-	MetricUDPSendSyscalls = "udp.send_syscalls"  // sendto/sendmmsg calls
+	MetricUDPSendSyscalls = "udp.send_syscalls"  // sendto calls
 	MetricUDPSendMsgs     = "udp.send_msgs"      // datagrams sent by them
 	MetricUDPPoolDropped  = "udp.pool_dropped"   // receive buffers Release could not recycle
 	MetricTCPWriteCalls   = "tcp.write_syscalls" // write calls on stream sends
 	MetricTCPWriteMsgs    = "tcp.write_msgs"     // messages carried by them
-
-	// Egress flush-reason counters: why each sendmmsg batch was cut.
-	MetricEgressFlushFull   = "udp.egress_flush_full"   // batch reached capacity
-	MetricEgressFlushDrain  = "udp.egress_flush_drain"  // worker drained after its receive batch
-	MetricEgressFlushLinger = "udp.egress_flush_linger" // linger timer expired
-	MetricEgressFlushClose  = "udp.egress_flush_close"  // final flush at shutdown
 
 	// Registrar counters (internal/location): binding lifecycle events. A
 	// REGISTER either creates a binding, refreshes one, or (Expires: 0)
@@ -425,14 +418,6 @@ const (
 // 503 rejections — not a pipeline stage, but the same histogram machinery.
 const StageRetryAfter = "overload.retry_after"
 
-// Batch-occupancy histograms: how many datagrams each recvmmsg/sendmmsg
-// call carried, recorded as a unitless count through the duration-keyed
-// histogram machinery (1 "ns" = 1 datagram; the mean is mean occupancy).
-const (
-	HistRecvBatch = "batch.recv_occupancy"
-	HistSendBatch = "batch.send_occupancy"
-)
-
 // StageNames lists every per-stage histogram in pipeline order, for
 // reports that want a stable, complete stage table.
 var StageNames = []string{
@@ -456,8 +441,6 @@ var standardCounters = []string{
 	MetricUDPRecvSyscalls, MetricUDPRecvMsgs,
 	MetricUDPSendSyscalls, MetricUDPSendMsgs, MetricUDPPoolDropped,
 	MetricTCPWriteCalls, MetricTCPWriteMsgs,
-	MetricEgressFlushFull, MetricEgressFlushDrain,
-	MetricEgressFlushLinger, MetricEgressFlushClose,
 	MetricLocRegistered, MetricLocRefreshed, MetricLocExpired,
 	MetricLocDeregistered,
 	MetricAuthCacheHits, MetricAuthCacheMisses, MetricAuthCacheEvictions,
@@ -488,8 +471,6 @@ func (p *Profile) RegisterStandard() {
 		p.Histogram(n)
 	}
 	p.Histogram(StageRetryAfter)
-	p.Histogram(HistRecvBatch)
-	p.Histogram(HistSendBatch)
 	p.SetGauge(GaugeMsgPoolOutstanding, func() float64 { return float64(sipmsg.PoolOutstanding()) })
 	p.SetGauge(GaugeReadBufsOnLoan, func() float64 { return float64(sipmsg.ReadBuffersOnLoan()) })
 }

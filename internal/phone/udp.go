@@ -26,21 +26,11 @@ type udpEndpoint struct {
 	looping atomic.Bool // the answering loop owns reads
 	resps   chan *sipmsg.Message
 
-	// bw/dgs batch the callee's multi-response answers (e.g. 180 + 200 for
-	// an INVITE) into one sendmmsg. Only the answering goroutine uses them.
-	bw  *transport.BatchWriter
-	dgs []transport.Datagram
-
 	closeOnce sync.Once
 	startOnce sync.Once
 	done      chan struct{}
 	answering sync.WaitGroup
 }
-
-// phoneBatch sizes the phone-side send batch: an answering callee emits at
-// most a provisional plus a final response per request, so a small batch
-// already captures the full grouping.
-const phoneBatch = 4
 
 // respQueue bounds the responses the answering loop holds for request();
 // a callee has at most one request in flight, so a response that finds
@@ -48,9 +38,7 @@ const phoneBatch = 4
 const respQueue = 8
 
 func newUDPEndpoint(cfg Config) (*udpEndpoint, error) {
-	sock, err := transport.ListenUDPOptions("127.0.0.1:0", transport.UDPOptions{
-		BatchSize: phoneBatch,
-	})
+	sock, err := transport.ListenUDP("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +49,6 @@ func newUDPEndpoint(cfg Config) (*udpEndpoint, error) {
 	}
 	return &udpEndpoint{
 		cfg: cfg, sock: sock, proxy: proxy,
-		bw:    sock.NewBatchWriter(phoneBatch),
 		resps: make(chan *sipmsg.Message, respQueue),
 		done:  make(chan struct{}),
 	}, nil
@@ -304,19 +291,15 @@ func (e *udpEndpoint) startAnswering() {
 				}
 				pending = kept
 			}
-			// All responses to one request leave in a single batch: the
-			// provisional and final share one sendmmsg where available.
-			e.dgs = e.dgs[:0]
 			var final *sipmsg.Message
 			for _, resp := range answer(m, e.cfg.User, sipmsg.URI{User: e.cfg.User, Host: "127.0.0.1", Port: int(e.sock.LocalAddr().Port())}) {
-				e.dgs = append(e.dgs, transport.Datagram{Data: resp.Serialize(), Dst: src})
+				if err := e.sock.WriteTo(resp.Serialize(), src); err != nil {
+					m.Release()
+					return
+				}
 				if resp.StatusCode >= 200 {
 					final = resp
 				}
-			}
-			if err := e.sock.WriteBatch(e.bw, e.dgs); err != nil {
-				m.Release()
-				return
 			}
 			if m.Method == sipmsg.INVITE && final != nil && final.StatusCode < 300 {
 				iv := e.uas2xxInterval()

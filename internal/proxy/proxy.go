@@ -61,8 +61,8 @@ func borrowTrace(dst, src *sipmsg.Message) *trace.Context {
 // response, a forwarded copy, an ACK or CANCEL of its own), never one that
 // came out of sipmsg.Parse or a sipmsg.Reader. Built messages are not
 // pooled and belong to the garbage collector, so an implementation may
-// keep the pointer past the call — a capturing test double, a batching
-// egress — without Retain. Parsed messages are recycled the moment their
+// keep the pointer past the call — a capturing test double — without
+// Retain. Parsed messages are recycled the moment their
 // last reference is released and stay on the engine's side of this
 // interface.
 type Sender interface {

@@ -68,7 +68,7 @@ type WireBuf struct{ Bytes []byte }
 var wireBufs = sync.Pool{New: func() any { return new(WireBuf) }}
 
 // RenderWire serializes m into a pooled buffer, for send paths that write
-// the bytes out (or copy them into a batch) before returning. Unlike
+// the bytes out before returning. Unlike
 // Serialize it allocates nothing per send and leaves no wire image attached
 // to the message — which, for a final response the transaction table keeps
 // for replay, would otherwise stay resident for the whole linger window.

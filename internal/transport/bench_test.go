@@ -9,28 +9,12 @@ import (
 	"gosip/internal/metrics"
 )
 
-// The batch benchmarks pair a socket with itself over loopback: each
-// iteration moves one datagram out and back in, so ns/op is per datagram
-// regardless of the batch size, and the profile counters turn into a
-// syscalls/op metric benchstat can track alongside it.
-
-func benchSyscallsPerOp(b *testing.B, prof *metrics.Profile, ops int) {
-	b.Helper()
-	sys := prof.Counter(metrics.MetricUDPRecvSyscalls).Value() +
-		prof.Counter(metrics.MetricUDPSendSyscalls).Value()
-	b.ReportMetric(float64(sys)/float64(ops), "syscalls/op")
-	if dropped := prof.Counter(metrics.MetricUDPPoolDropped).Value(); dropped != 0 {
-		b.Fatalf("pool dropped %d buffers", dropped)
-	}
-}
-
-func benchUDPRoundtrip(b *testing.B, batch int) {
+// BenchmarkUDPRoundtrip pairs a socket with itself over loopback: each
+// iteration moves one datagram out and back in, and the profile counters
+// turn into a syscalls/op metric benchstat can track alongside ns/op.
+func BenchmarkUDPRoundtrip(b *testing.B) {
 	prof := metrics.NewProfile()
-	sock, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{
-		BatchSize: batch,
-		RcvBuf:    1 << 20,
-		Profile:   prof,
-	})
+	sock, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{Profile: prof})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,54 +24,25 @@ func benchUDPRoundtrip(b *testing.B, batch int) {
 	wire := testMsg(1).Serialize()
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
-
-	if batch <= 1 {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sock.WriteTo(wire, dst); err != nil {
-				b.Fatal(err)
-			}
-			pkt, err := sock.ReadPacket()
-			if err != nil {
-				b.Fatal(err)
-			}
-			sock.Release(pkt)
-		}
-		b.StopTimer()
-		benchSyscallsPerOp(b, prof, b.N)
-		return
-	}
-
-	bw := sock.NewBatchWriter(batch)
-	br := sock.NewBatchReader(batch)
-	dgs := make([]Datagram, batch)
-	for i := range dgs {
-		dgs[i] = Datagram{Data: wire, Dst: dst}
-	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		k := batch
-		if rem := b.N - i; rem < k {
-			k = rem
-		}
-		if err := sock.WriteBatch(bw, dgs[:k]); err != nil {
+	for i := 0; i < b.N; i++ {
+		if err := sock.WriteTo(wire, dst); err != nil {
 			b.Fatal(err)
 		}
-		for got := 0; got < k; {
-			n, err := sock.ReadBatch(br)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got += n
+		pkt, err := sock.ReadPacket()
+		if err != nil {
+			b.Fatal(err)
 		}
+		sock.Release(pkt)
 	}
 	b.StopTimer()
-	benchSyscallsPerOp(b, prof, b.N)
+	sys := prof.Counter(metrics.MetricUDPRecvSyscalls).Value() +
+		prof.Counter(metrics.MetricUDPSendSyscalls).Value()
+	b.ReportMetric(float64(sys)/float64(b.N), "syscalls/op")
+	if dropped := prof.Counter(metrics.MetricUDPPoolDropped).Value(); dropped != 0 {
+		b.Fatalf("pool dropped %d buffers", dropped)
+	}
 }
-
-func BenchmarkUDPRoundtrip(b *testing.B)        { benchUDPRoundtrip(b, 1) }
-func BenchmarkUDPRoundtripBatch8(b *testing.B)  { benchUDPRoundtrip(b, 8) }
-func BenchmarkUDPRoundtripBatch32(b *testing.B) { benchUDPRoundtrip(b, 32) }
 
 // benchStreamWrite measures contended sends on one StreamConn: several
 // goroutines (more than GOMAXPROCS, so they genuinely queue on the write
@@ -172,54 +127,4 @@ func BenchmarkTLSStreamWriteContended(b *testing.B) {
 	}
 	defer client.Close()
 	benchContendedWrites(b, client)
-}
-
-// BenchmarkEgressEnqueue is the proxy's batched send path: enqueue into
-// the worker egress and drain, as one receive batch's worth of responses
-// would. The reader side drains the socket so the benchmark measures the
-// sender, not a filling rcvbuf.
-func BenchmarkEgressEnqueue(b *testing.B) {
-	prof := metrics.NewProfile()
-	sock, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{
-		BatchSize: 32, RcvBuf: 1 << 20, Profile: prof,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sock.Close()
-	sink, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{RcvBuf: 1 << 22})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sink.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			pkt, err := sink.ReadPacket()
-			if err != nil {
-				return
-			}
-			sink.Release(pkt)
-		}
-	}()
-
-	eg := NewEgress(sock, 32, DefaultEgressLinger, prof)
-	defer eg.Close()
-	wire := testMsg(1).Serialize()
-	dst := sink.LocalAddr()
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eg.Enqueue(wire, dst); err != nil {
-			b.Fatal(err)
-		}
-		if i%8 == 7 {
-			eg.Drain()
-		}
-	}
-	eg.Drain()
-	b.StopTimer()
-	b.ReportMetric(float64(prof.Counter(metrics.MetricUDPSendSyscalls).Value())/float64(b.N), "syscalls/op")
 }

@@ -48,16 +48,3 @@ func listenReusePort(ua *net.UDPAddr) (*net.UDPConn, error) {
 	}
 	return pc.(*net.UDPConn), nil
 }
-
-// socketBufferSizes reads back the effective SO_RCVBUF/SO_SNDBUF values.
-func socketBufferSizes(c syscall.Conn) (rcv, snd int) {
-	rc, err := c.SyscallConn()
-	if err != nil {
-		return 0, 0
-	}
-	_ = rc.Control(func(fd uintptr) {
-		rcv, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
-		snd, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
-	})
-	return rcv, snd
-}

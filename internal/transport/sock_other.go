@@ -5,7 +5,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"syscall"
 )
 
 // reusePortAvailable is false here, so ListenUDPGroup returns one socket
@@ -19,7 +18,3 @@ func setReusePort(*net.UDPConn) error {
 func listenReusePort(*net.UDPAddr) (*net.UDPConn, error) {
 	return nil, fmt.Errorf("transport: SO_REUSEPORT unavailable")
 }
-
-// socketBufferSizes is unavailable portably; callers treat zeroes as
-// "unknown" and fall back to reporting the requested values.
-func socketBufferSizes(c syscall.Conn) (rcv, snd int) { return 0, 0 }

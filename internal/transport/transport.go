@@ -6,9 +6,8 @@
 //
 // ListenUDPGroup binds one SO_REUSEPORT socket per worker on Linux, so the
 // kernel picks the worker and no two goroutines ever queue on one
-// descriptor's lock. The UDP socket additionally offers batched receive
-// and send paths (recvmmsg/sendmmsg — see batch.go), opt-in: by default
-// every datagram costs one syscall, as in the paper.
+// descriptor's lock. Every datagram costs one syscall each way — one
+// recvfrom, one sendto — as in the paper.
 //
 // UDP addresses are netip.AddrPort values throughout — a packet's source,
 // a datagram's destination, the bound address — so receiving and sending a
@@ -22,7 +21,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"syscall"
 	"time"
 
 	"gosip/internal/metrics"
@@ -43,32 +41,19 @@ const (
 // limit accommodates path-MTU-free loopback experiments.
 const MaxDatagram = 64 << 10
 
-// MaxBatch bounds the per-call datagram count of the batched I/O paths.
-const MaxBatch = 512
-
 // Packet is one datagram received on a UDP socket.
 type Packet struct {
 	Data []byte
 	Src  netip.AddrPort
 
-	// buf is the pool slot backing Data for single-packet reads; nil for
-	// packets produced by a BatchReader, which owns its buffers.
+	// buf is the pool slot backing Data; nil for a packet built by hand.
 	buf *[]byte
 }
 
-// UDPOptions tunes a UDP SIP socket beyond the paper-faithful defaults.
-// The zero value reproduces the baseline socket exactly.
+// UDPOptions configures a UDP SIP socket. The zero value is an
+// uninstrumented socket.
 type UDPOptions struct {
-	// BatchSize > 1 arms the batched ReadBatch/WriteBatch paths with this
-	// per-call datagram budget (Linux recvmmsg/sendmmsg where available,
-	// looped single-packet calls elsewhere).
-	BatchSize int
-	// RcvBuf/SndBuf request SO_RCVBUF/SO_SNDBUF sizes (0 = kernel default).
-	RcvBuf, SndBuf int
-	// ForceGeneric disables the mmsg fast path even where available — the
-	// hook the batch-parity test uses to run both paths on one platform.
-	ForceGeneric bool
-	// Profile receives the socket's syscall/occupancy instrumentation.
+	// Profile receives the socket's syscall and pool instrumentation.
 	// Nil is valid: counters become no-ops.
 	Profile *metrics.Profile
 }
@@ -79,9 +64,6 @@ type UDPOptions struct {
 // its own socket from ListenUDPGroup instead.
 type UDPSocket struct {
 	conn *net.UDPConn
-	rc   syscall.RawConn
-	mmsg bool // recvmmsg/sendmmsg fast path armed
-	is6  bool // socket bound to an IPv6 address
 
 	bufPool sync.Pool // of *[]byte, each MaxDatagram long
 
@@ -90,12 +72,10 @@ type UDPSocket struct {
 	sendSyscalls *metrics.Counter
 	sendMsgs     *metrics.Counter
 	poolDropped  *metrics.Counter
-	recvOcc      *metrics.Histogram
-	sendOcc      *metrics.Histogram
 }
 
 // ListenUDP opens a UDP SIP socket on addr (e.g. "127.0.0.1:0") with the
-// baseline (unbatched, unshared) configuration.
+// baseline (uninstrumented, unshared) configuration.
 func ListenUDP(addr string) (*UDPSocket, error) {
 	return ListenUDPOptions(addr, UDPOptions{})
 }
@@ -121,9 +101,6 @@ func ListenUDPOptions(addr string, o UDPOptions) (*UDPSocket, error) {
 // failing with EADDRINUSE, and let a ":0" bind land on a port such a group
 // already holds.
 func ListenUDPGroup(addr string, n int, o UDPOptions) ([]*UDPSocket, error) {
-	if o.BatchSize > MaxBatch {
-		return nil, fmt.Errorf("transport: batch size %d exceeds max %d", o.BatchSize, MaxBatch)
-	}
 	if n < 1 || !reusePortAvailable {
 		n = 1
 	}
@@ -157,42 +134,17 @@ func ListenUDPGroup(addr string, n int, o UDPOptions) ([]*UDPSocket, error) {
 	}
 	socks := make([]*UDPSocket, 0, n)
 	for _, c := range conns {
-		s, err := newUDPSocket(c, o)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		socks = append(socks, s)
+		socks = append(socks, newUDPSocket(c, o))
 	}
 	return socks, nil
 }
 
-// newUDPSocket applies o to a bound connection and wraps it. On error the
-// caller still owns c.
-func newUDPSocket(c *net.UDPConn, o UDPOptions) (*UDPSocket, error) {
-	if o.RcvBuf > 0 {
-		if err := c.SetReadBuffer(o.RcvBuf); err != nil {
-			return nil, fmt.Errorf("transport: SO_RCVBUF %d: %w", o.RcvBuf, err)
-		}
-	}
-	if o.SndBuf > 0 {
-		if err := c.SetWriteBuffer(o.SndBuf); err != nil {
-			return nil, fmt.Errorf("transport: SO_SNDBUF %d: %w", o.SndBuf, err)
-		}
-	}
+// newUDPSocket wraps a bound connection.
+func newUDPSocket(c *net.UDPConn, o UDPOptions) *UDPSocket {
 	s := &UDPSocket{conn: c}
 	s.bufPool.New = func() any {
 		b := make([]byte, MaxDatagram)
 		return &b
-	}
-	s.is6 = s.LocalAddr().Addr().Is6()
-	if o.BatchSize > 1 && mmsgAvailable && !o.ForceGeneric {
-		rc, err := c.SyscallConn()
-		if err != nil {
-			return nil, fmt.Errorf("transport: raw conn: %w", err)
-		}
-		s.rc = rc
-		s.mmsg = true
 	}
 	if p := o.Profile; p != nil {
 		s.recvSyscalls = p.Counter(metrics.MetricUDPRecvSyscalls)
@@ -200,23 +152,13 @@ func newUDPSocket(c *net.UDPConn, o UDPOptions) (*UDPSocket, error) {
 		s.sendSyscalls = p.Counter(metrics.MetricUDPSendSyscalls)
 		s.sendMsgs = p.Counter(metrics.MetricUDPSendMsgs)
 		s.poolDropped = p.Counter(metrics.MetricUDPPoolDropped)
-		s.recvOcc = p.Histogram(metrics.HistRecvBatch)
-		s.sendOcc = p.Histogram(metrics.HistSendBatch)
 	}
-	return s, nil
+	return s
 }
-
-// MmsgActive reports whether the recvmmsg/sendmmsg fast path is armed.
-func (s *UDPSocket) MmsgActive() bool { return s.mmsg }
 
 // ReusePortAvailable reports whether SO_REUSEPORT is supported on this
 // platform, i.e. whether ListenUDPGroup can return more than one socket.
 func ReusePortAvailable() bool { return reusePortAvailable }
-
-// BufferSizes reports the socket's effective SO_RCVBUF/SO_SNDBUF values as
-// the kernel sees them (Linux doubles the requested size for bookkeeping).
-// Zeroes mean the values could not be read on this platform.
-func (s *UDPSocket) BufferSizes() (rcv, snd int) { return socketBufferSizes(s.conn) }
 
 // LocalAddr returns the bound address.
 func (s *UDPSocket) LocalAddr() netip.AddrPort {
@@ -235,14 +177,13 @@ func (s *UDPSocket) ReadPacket() (Packet, error) {
 	}
 	s.recvSyscalls.Inc()
 	s.recvMsgs.Inc()
-	s.recvOcc.Record(1)
 	return Packet{Data: (*bp)[:n], Src: unmap(src), buf: bp}, nil
 }
 
 // Release returns a packet's buffer to the pool. Packets whose buffer the
 // pool cannot recycle (produced elsewhere, or resized by the caller) are
-// counted as dropped rather than silently discarded; packets from a
-// BatchReader carry no pool buffer and are a no-op.
+// counted as dropped rather than silently discarded; a small hand-built
+// packet is a no-op.
 func (s *UDPSocket) Release(p Packet) {
 	if p.buf != nil {
 		if cap(*p.buf) == MaxDatagram {
@@ -265,7 +206,6 @@ func (s *UDPSocket) Release(p Packet) {
 func (s *UDPSocket) WriteTo(data []byte, dst netip.AddrPort) error {
 	s.sendSyscalls.Inc()
 	s.sendMsgs.Inc()
-	s.sendOcc.Record(1)
 	_, err := s.conn.WriteToUDPAddrPort(data, unmap(dst))
 	return err
 }

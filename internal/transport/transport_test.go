@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"gosip/internal/metrics"
 	"gosip/internal/sipmsg"
 )
 
@@ -89,15 +91,18 @@ func TestUDPRoundTrip(t *testing.T) {
 }
 
 func TestUDPConcurrentReaders(t *testing.T) {
-	// The burst below is one rcvbuf's worth of datagrams; with the default
-	// 208K buffer the test sits at the kernel's drop threshold whenever the
-	// sender outruns the readers (single-CPU machines). An explicit receive
-	// buffer keeps the assertion about delivery, not about scheduling luck.
-	srv, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{RcvBuf: 1 << 20})
+	srv, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// The burst below is one rcvbuf's worth of datagrams; with the default
+	// 208K buffer the test sits at the kernel's drop threshold whenever the
+	// sender outruns the readers (single-CPU machines). An explicit receive
+	// buffer keeps the assertion about delivery, not about scheduling luck.
+	if err := srv.conn.SetReadBuffer(1 << 20); err != nil {
+		t.Fatal(err)
+	}
 	cli, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -383,4 +388,205 @@ func TestUDPOversizeDatagramTruncationSafe(t *testing.T) {
 		t.Errorf("got %d bytes, want %d", len(pkt.Data), len(payload))
 	}
 	srv.Release(pkt)
+}
+
+// TestReusePortShardDistribution: with a group of N sockets on one port and
+// many distinct client 4-tuples, every socket must see traffic (the kernel
+// hashes source tuples across them), including the first, which joined the
+// group only after its bind.
+func TestReusePortShardDistribution(t *testing.T) {
+	if !reusePortAvailable {
+		t.Skip("SO_REUSEPORT unavailable on this platform")
+	}
+	const shards, clients, per = 4, 64, 4
+	socks, err := ListenUDPGroup("127.0.0.1:0", shards, UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(socks) != shards {
+		t.Fatalf("ListenUDPGroup returned %d sockets, want %d", len(socks), shards)
+	}
+	for _, s := range socks {
+		defer s.Close()
+		// Every datagram is sent before any is read; a roomy receive
+		// buffer keeps an unlucky hash from overflowing one socket.
+		if err := s.conn.SetReadBuffer(4 << 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := socks[0].LocalAddr()
+	for i, s := range socks {
+		if got := s.LocalAddr().String(); got != dst.String() {
+			t.Fatalf("socket %d bound %s, socket 0 %s", i, got, dst)
+		}
+	}
+	for c := 0; c < clients; c++ {
+		cli, err := ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < per; i++ {
+			if err := cli.WriteTo([]byte(fmt.Sprintf("shard-%d-%d", c, i)), dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cli.Close()
+	}
+	counts := make([]int, shards)
+	totalWant := clients * per
+	var mu sync.Mutex
+	totalGot := 0
+	var wg sync.WaitGroup
+	for i, s := range socks {
+		wg.Add(1)
+		go func(i int, s *UDPSocket) {
+			defer wg.Done()
+			for {
+				s.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+				pkt, err := s.ReadPacket()
+				if err != nil {
+					return // deadline: this shard's queue is dry
+				}
+				s.Release(pkt)
+				mu.Lock()
+				counts[i]++
+				totalGot++
+				mu.Unlock()
+			}
+		}(i, s)
+	}
+	wg.Wait()
+	if totalGot != totalWant {
+		t.Fatalf("delivered %d datagrams across shards, want %d", totalGot, totalWant)
+	}
+	for i, n := range counts {
+		if n == 0 {
+			t.Errorf("shard %d received no traffic (distribution %v)", i, counts)
+		}
+	}
+}
+
+// TestUDPGroupSharesOneSocketWithoutReusePort pins the fallback: where
+// SO_REUSEPORT is unavailable every reader shares one socket.
+func TestUDPGroupSharesOneSocketWithoutReusePort(t *testing.T) {
+	if reusePortAvailable {
+		t.Skip("SO_REUSEPORT available here")
+	}
+	socks, err := ListenUDPGroup("127.0.0.1:0", 4, UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer socks[0].Close()
+	if len(socks) != 1 {
+		t.Fatalf("ListenUDPGroup returned %d sockets without SO_REUSEPORT, want 1", len(socks))
+	}
+}
+
+// TestReleaseDropAccounting pins the pool bugfix: foreign buffers are
+// counted, pool buffers recycle silently, small hand-built packets are
+// no-ops.
+func TestReleaseDropAccounting(t *testing.T) {
+	prof := metrics.NewProfile()
+	s, err := ListenUDPOptions("127.0.0.1:0", UDPOptions{Profile: prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dropped := prof.Counter(metrics.MetricUDPPoolDropped)
+	cli, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.WriteTo([]byte("drop-test"), s.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := s.ReadPacket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release(pkt)
+	if v := dropped.Value(); v != 0 {
+		t.Fatalf("pool-originated release counted as dropped (%d)", v)
+	}
+	// A foreign full-size buffer cannot re-enter the pool: counted.
+	s.Release(Packet{Data: make([]byte, MaxDatagram)})
+	if v := dropped.Value(); v != 1 {
+		t.Errorf("foreign buffer drop count = %d, want 1", v)
+	}
+	// A small packet carries no pool buffer: releasing it is a no-op.
+	s.Release(Packet{Data: []byte("short")})
+	if v := dropped.Value(); v != 1 {
+		t.Errorf("non-pool-size release counted (%d), want 1", v)
+	}
+}
+
+// TestStreamConnInstrumentedWriters re-runs the concurrent-writer integrity
+// test with the write counters wired: framing must survive, every message
+// must arrive, and each message must cost exactly one write call.
+func TestStreamConnInstrumentedWriters(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	const writers, per = 8, 100
+	errc := make(chan error, 1)
+	countc := make(chan int, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			errc <- err
+			return
+		}
+		sc := NewStreamConn(c)
+		n := 0
+		for n < writers*per {
+			if _, err := sc.ReadMessage(); err != nil {
+				errc <- err
+				countc <- n
+				return
+			}
+			n++
+		}
+		errc <- nil
+		countc <- n
+	}()
+
+	cli, err := DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := metrics.NewProfile()
+	calls := prof.Counter(metrics.MetricTCPWriteCalls)
+	msgs := prof.Counter(metrics.MetricTCPWriteMsgs)
+	cli.InstrumentWrites(calls, msgs)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := cli.WriteMessage(testMsg(w*per + i)); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := <-errc; err != nil {
+		t.Fatalf("reader failed after %d messages: %v", <-countc, err)
+	}
+	if got := <-countc; got != writers*per {
+		t.Errorf("read %d messages, want %d", got, writers*per)
+	}
+	if got := msgs.Value(); got != writers*per {
+		t.Errorf("write_msgs = %d, want %d", got, writers*per)
+	}
+	if got := calls.Value(); got != msgs.Value() {
+		t.Errorf("write_syscalls = %d for %d messages, want one each", got, msgs.Value())
+	}
+	cli.Close()
 }

@@ -1,13 +1,11 @@
 package userdb
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Backend is the pluggable storage driver behind DB, as a real registrar
-// would swap an in-memory table for a SQL subscriber database. Keys are
-// the canonical "username@domain" form.
+// would swap an in-memory table for a SQL subscriber database; tests
+// substitute their own through it. Keys are the canonical
+// "username@domain" form.
 type Backend interface {
 	// Fetch returns the user stored under key.
 	Fetch(key string) (User, bool)
@@ -15,12 +13,6 @@ type Backend interface {
 	Store(key string, u User)
 	// Len returns the number of stored users.
 	Len() int
-}
-
-// bulkStorer is a Backend's optional bulk insert: n users, produced one at a
-// time by gen, stored under one lock acquisition.
-type bulkStorer interface {
-	storeN(n int, gen func(i int) (key string, u User))
 }
 
 // MemoryBackend is the default driver: a mutex-guarded map. It is the only
@@ -62,8 +54,9 @@ func (m *MemoryBackend) Store(key string, u User) {
 	m.mu.Unlock()
 }
 
-// storeN implements bulkStorer. An empty table is sized for the batch, so
-// filling it never rehashes.
+// storeN is the bulk insert behind DB.ProvisionN: n users, produced one at
+// a time by gen, stored under one lock acquisition. An empty table is sized
+// for the batch, so filling it never rehashes.
 func (m *MemoryBackend) storeN(n int, gen func(i int) (string, User)) {
 	m.mu.Lock()
 	if len(m.users) == 0 {
@@ -82,37 +75,3 @@ func (m *MemoryBackend) Len() int {
 	defer m.mu.RUnlock()
 	return len(m.users)
 }
-
-// SQLBackend models an external SQL subscriber database: the same map
-// storage, but every Fetch pays a per-query latency, the way the paper's
-// testbed consulted a MySQL instance ("possibly involving a database
-// lookup", Ram et al. §3). It exists so experiments can contrast the
-// in-memory and database-backed registrar tiers — and so the auth cache
-// has a realistic round-trip to hide.
-type SQLBackend struct {
-	mem *MemoryBackend
-	// QueryLatency is the simulated per-Fetch round-trip.
-	QueryLatency time.Duration
-}
-
-// NewSQLBackend creates an empty latency-modelled backend.
-func NewSQLBackend(queryLatency time.Duration) *SQLBackend {
-	return &SQLBackend{mem: NewMemoryBackend(), QueryLatency: queryLatency}
-}
-
-// Fetch implements Backend, paying the modelled query latency.
-func (s *SQLBackend) Fetch(key string) (User, bool) {
-	if s.QueryLatency > 0 {
-		time.Sleep(s.QueryLatency)
-	}
-	return s.mem.Fetch(key)
-}
-
-// Store implements Backend. Provisioning is experiment setup, not the
-// serving path, so it pays no latency.
-func (s *SQLBackend) Store(key string, u User) { s.mem.Store(key, u) }
-
-func (s *SQLBackend) storeN(n int, gen func(i int) (string, User)) { s.mem.storeN(n, gen) }
-
-// Len implements Backend.
-func (s *SQLBackend) Len() int { return s.mem.Len() }

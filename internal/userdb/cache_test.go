@@ -97,22 +97,6 @@ func TestProvisionInvalidatesCache(t *testing.T) {
 	}
 }
 
-func TestSQLBackend(t *testing.T) {
-	prof := metrics.NewProfile()
-	db := New(Config{Backend: NewSQLBackend(10 * time.Millisecond)}, prof)
-	db.Provision(User{Username: "a", Domain: "d"})
-	start := time.Now()
-	if _, err := db.Lookup("a", "d"); err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("SQL backend lookup took %v, want >= 10ms", elapsed)
-	}
-	if db.Len() != 1 {
-		t.Errorf("Len = %d", db.Len())
-	}
-}
-
 // TestQueueWaitSeparatedFromQueryTime pins the satellite fix: pool-slot
 // wait lands in stage.db_queue, and stage.db_lookup sees only the query
 // itself — serialized callers must not inflate the query histogram.

@@ -1,10 +1,9 @@
 // Package userdb is the persistent-storage substrate standing in for the
 // MySQL instance the paper's testbed used. Storage is pluggable through
-// the Backend interface — an in-memory table by default, a latency-modelled
-// "SQL" driver for experiments — fronted by a bounded connection pool and
-// an optional credential cache, so the proxy exercises the same "possibly
-// involving a database lookup" path (Ram et al. §3) without an external
-// dependency. The in-memory lookup path allocates nothing: the
+// the Backend interface — an in-memory table by default — fronted by a
+// modelled per-query latency, a bounded connection pool and an optional
+// credential cache, so the proxy exercises the same "possibly involving a
+// database lookup" path (Ram et al. §3) without an external dependency. The in-memory lookup path allocates nothing: the
 // "username@domain" key is assembled in a stack buffer and probed in
 // place, never materialized per call.
 package userdb
@@ -50,7 +49,7 @@ type DB struct {
 	// mem short-circuits the interface when the backend is the in-memory
 	// driver: the map is probed straight from the stack key buffer, which
 	// an interface call cannot do (passing string(buf) through Fetch would
-	// heap-allocate the key).
+	// heap-allocate the key), and ProvisionN fills it under one lock.
 	mem *MemoryBackend
 
 	cfg   Config
@@ -110,8 +109,8 @@ func (db *DB) ProvisionN(n int, domain string) {
 		key := all[len(passwordPrefix):]
 		return key, User{Username: key[:nameLen], Domain: domain, Password: all[:len(passwordPrefix)+nameLen]}
 	}
-	if bulk, ok := db.backend.(bulkStorer); ok {
-		bulk.storeN(n, gen)
+	if db.mem != nil {
+		db.mem.storeN(n, gen)
 	} else {
 		for i := 0; i < n; i++ {
 			db.backend.Store(gen(i))

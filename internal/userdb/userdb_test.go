@@ -59,7 +59,7 @@ func TestProvisionNStoresWhatProvisionDoes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		want.Provision(User{Username: UserName(i), Domain: domain, Password: PasswordFor(UserName(i))})
 	}
-	for name, be := range map[string]Backend{"memory": NewMemoryBackend(), "sql": NewSQLBackend(0), "plain": &plainBackend{users: map[string]User{}}} {
+	for name, be := range map[string]Backend{"memory": NewMemoryBackend(), "plain": &plainBackend{users: map[string]User{}}} {
 		db := New(Config{Backend: be}, metrics.NewProfile())
 		db.Provision(User{Username: "alice", Domain: domain, Password: "pw"})
 		db.ProvisionN(n, domain)
