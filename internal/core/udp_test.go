@@ -304,49 +304,53 @@ func TestUDPPipelinedOrder(t *testing.T) {
 // a read after serving traffic: goroutines, descriptors and pooled messages
 // return to where they started.
 func TestUDPServerCloseParked(t *testing.T) {
-	// Start the runtime's poller first so its descriptors predate the
-	// count.
-	if s, err := transport.ListenUDP("127.0.0.1:0"); err == nil {
-		s.Close()
-	}
-	goroutines := runtime.NumGoroutine()
-	fds := testutil.OpenFDs(t)
-	pooled := sipmsg.PoolOutstanding()
+	// "batch=0" names the one-datagram-per-syscall read loop, the only
+	// UDP path; the subtest keeps that name so test selections stay valid.
+	t.Run("batch=0", func(t *testing.T) {
+		// Start the runtime's poller first so its descriptors predate the
+		// count.
+		if s, err := transport.ListenUDP("127.0.0.1:0"); err == nil {
+			s.Close()
+		}
+		goroutines := runtime.NumGoroutine()
+		fds := testutil.OpenFDs(t)
+		pooled := sipmsg.PoolOutstanding()
 
-	srv, err := New(Config{Arch: ArchUDP, Workers: 8, Stateful: true, Domain: testDomain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.DB().ProvisionN(8, testDomain)
-	cli, err := transport.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := srv.(*udpServer).socks[0].LocalAddr()
-	for i := 0; i < 8; i++ {
-		if err := cli.WriteTo(udpRegister(cli.LocalAddr(), fmt.Sprintf("user%d", i), 1), dst); err != nil {
+		srv, err := New(Config{Arch: ArchUDP, Workers: 8, Stateful: true, Domain: testDomain})
+		if err != nil {
 			t.Fatal(err)
 		}
-		cli.SetReadDeadline(time.Now().Add(5 * time.Second))
-		pkt, err := cli.ReadPacket()
+		srv.DB().ProvisionN(8, testDomain)
+		cli, err := transport.ListenUDP("127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("REGISTER %d: %v", i, err)
+			t.Fatal(err)
 		}
-		cli.Release(pkt)
-	}
-	cli.Close()
-	if err := srv.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
+		dst := srv.(*udpServer).socks[0].LocalAddr()
+		for i := 0; i < 8; i++ {
+			if err := cli.WriteTo(udpRegister(cli.LocalAddr(), fmt.Sprintf("user%d", i), 1), dst); err != nil {
+				t.Fatal(err)
+			}
+			cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+			pkt, err := cli.ReadPacket()
+			if err != nil {
+				t.Fatalf("REGISTER %d: %v", i, err)
+			}
+			cli.Release(pkt)
+		}
+		cli.Close()
+		if err := srv.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
 
-	testutil.CheckGoroutines(t, goroutines)
-	for deadline := time.Now().Add(2 * time.Second); testutil.OpenFDs(t) != fds && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	testutil.CheckFDs(t, fds)
-	if got := sipmsg.PoolOutstanding(); got != pooled {
-		t.Errorf("%d pooled messages outstanding after Close, %d before", got, pooled)
-	}
+		testutil.CheckGoroutines(t, goroutines)
+		for deadline := time.Now().Add(2 * time.Second); testutil.OpenFDs(t) != fds && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		testutil.CheckFDs(t, fds)
+		if got := sipmsg.PoolOutstanding(); got != pooled {
+			t.Errorf("%d pooled messages outstanding after Close, %d before", got, pooled)
+		}
+	})
 }
 
 // TestUDPSendAllocs pins the steady-state UDP send path at zero

@@ -97,6 +97,29 @@ func TestProvisionInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestSQLBackend checks the database-backed registrar tier: a modelled
+// per-query round-trip in front of the in-memory table. Every lookup pays
+// it, and the user comes back intact.
+func TestSQLBackend(t *testing.T) {
+	prof := metrics.NewProfile()
+	db := New(Config{LookupLatency: 10 * time.Millisecond}, prof)
+	db.Provision(User{Username: "a", Domain: "d", Password: "pw"})
+	start := time.Now()
+	u, err := db.Lookup("a", "d")
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
+		t.Errorf("database-tier lookup took %v, want >= 10ms", elapsed)
+	}
+	if u.Password != "pw" {
+		t.Errorf("Password = %q, want %q", u.Password, "pw")
+	}
+	if db.Len() != 1 {
+		t.Errorf("Len = %d", db.Len())
+	}
+}
+
 // TestQueueWaitSeparatedFromQueryTime pins the satellite fix: pool-slot
 // wait lands in stage.db_queue, and stage.db_lookup sees only the query
 // itself — serialized callers must not inflate the query histogram.
