@@ -71,8 +71,7 @@ func main() {
 		fdcache      = flag.Bool("fdcache", false, "enable the per-worker fd cache (Figure 4)")
 		fdcacheCap   = flag.Int("fdcache-cap", 0, "fd cache capacity per worker (0 = unbounded)")
 		mgr          = flag.String("connmgr", "scan", "idle-connection strategy: scan or pqueue (Figure 5)")
-		idleTimeout  = flag.Duration("idle-timeout", 10*time.Second, "idle connection timeout (paper §4.3)")
-		grace        = flag.Duration("grace", 5*time.Second, "supervisor grace before destroying returned connections")
+		idleTimeout  = flag.Duration("idle-timeout", 10*time.Second, "idle connection timeout (paper §4.3); the supervisor destroys a returned connection after a further half of it, at most 5s")
 		checkEvery   = flag.Duration("idle-check", 500*time.Millisecond, "idle check floor interval")
 		penalty      = flag.Duration("supervisor-penalty", 0, "per-request supervisor delay (models §4.3 starvation)")
 		ipcTimeout   = flag.Duration("ipc-timeout", 0, "worker deadline for an fd request against a stalled supervisor, and with -ipc unix for a send to a peer that stopped reading (0 = 2s, negative = none)")
@@ -82,13 +81,8 @@ func main() {
 		olTarget     = flag.Float64("overload-target", 0, "occupancy policy: target worker busy fraction (0 = 0.85)")
 		retryAfter   = flag.Duration("retry-after", 0, "base Retry-After advertised on 503 rejections (0 = 1s)")
 		timerImpl    = flag.String("timer-impl", "wheel", "timer data structure: wheel (sharded timing wheel) or heap (paper-faithful binary heap)")
-		timerShards  = flag.Int("timer-shards", 0, "timing-wheel shard count (0 = GOMAXPROCS; heap ignores this)")
-		txnShards    = flag.Int("txn-shards", 0, "transaction-table shards, rounded to a power of two (0 = max(16, 4x GOMAXPROCS))")
-		txnT1        = flag.Duration("t1", 0, "RFC 3261 T1 round-trip estimate: base retransmit interval for Timers A/E/G (0 = 500ms)")
+		txnT1        = flag.Duration("t1", 0, "RFC 3261 T1 round-trip estimate: base retransmit interval for Timers A/E/G, and 64*T1 is Timers B/F/H (0 = 500ms)")
 		txnT2        = flag.Duration("t2", 0, "RFC 3261 T2 retransmit-interval cap for Timers E/G (0 = 4s)")
-		txnTimerB    = flag.Duration("timer-b", 0, "client transaction timeout, Timers B/F (0 = 64*T1)")
-		txnTimerD    = flag.Duration("timer-d", 0, "completed non-2xx INVITE transaction lifetime, Timer D (0 = 32s)")
-		txnTimerH    = flag.Duration("timer-h", 0, "ACK wait after a non-2xx INVITE final, Timer H (0 = 64*T1)")
 		txnLinger    = flag.Duration("txn-linger", 0, "completed-transaction absorb window for non-INVITE and 2xx finals, Timers J/K (0 = 2s)")
 		dbLatency    = flag.Duration("db-latency", 0, "simulated user-database lookup latency")
 		dbPool       = flag.Int("db-pool", 0, "user-database connection-pool size (0 = unbounded)")
@@ -109,6 +103,12 @@ func main() {
 		traceRing    = flag.Int("trace-ring", 0, "flight-recorder capacity in retained traces (0 = 256)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag.Parse stops at the first non-flag; everything after it
+		// would be silently ignored.
+		fmt.Fprintf(os.Stderr, "sipproxyd: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	routes := map[string]string{}
 	if *routesFlag != "" {
@@ -118,7 +118,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "sipproxyd: bad -routes entry %q\n", pair)
 				os.Exit(1)
 			}
-			routes[strings.ToLower(strings.TrimSpace(pair[:eq]))] = strings.TrimSpace(pair[eq+1:])
+			routes[strings.TrimSpace(pair[:eq])] = strings.TrimSpace(pair[eq+1:])
 		}
 	}
 
@@ -136,12 +136,10 @@ func main() {
 		FDCacheCapacity:   *fdcacheCap,
 		ConnMgr:           connmgr.Kind(*mgr),
 		IdleTimeout:       *idleTimeout,
-		SupervisorGrace:   *grace,
 		IdleCheckInterval: *checkEvery,
 		SupervisorPenalty: *penalty,
 		IPCTimeout:        *ipcTimeout,
 		TimerImpl:         timerlist.Impl(*timerImpl),
-		TimerShards:       *timerShards,
 		Overload: overload.Config{
 			Policy:          overload.Policy(*olPolicy),
 			MaxPending:      *olPending,
@@ -150,12 +148,8 @@ func main() {
 			RetryAfter:      *retryAfter,
 		},
 	}
-	cfg.Txn.Shards = *txnShards
 	cfg.Txn.T1 = *txnT1
 	cfg.Txn.T2 = *txnT2
-	cfg.Txn.TimerB = *txnTimerB
-	cfg.Txn.TimerD = *txnTimerD
-	cfg.Txn.TimerH = *txnTimerH
 	cfg.Txn.Linger = *txnLinger
 	cfg.DB.LookupLatency = *dbLatency
 	cfg.DB.PoolSize = *dbPool
@@ -188,7 +182,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		cfg.TLS = &core.TLSSettings{
+		cfg.TLS = &transport.TLSOptions{
 			Cert:             cert,
 			RootCAs:          pool,
 			Resume:           *tlsResume,
@@ -215,9 +209,8 @@ func main() {
 	if us, ok := srv.(interface{ ShardCount() int }); ok {
 		fmt.Printf("sipproxyd: udp: %d sockets on %s\n", us.ShardCount(), srv.Addr())
 	}
-	if *timerImpl != "wheel" || *timerShards > 0 || *txnShards > 0 {
-		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d\n",
-			*timerImpl, *timerShards, *txnShards)
+	if *timerImpl != "wheel" {
+		fmt.Printf("sipproxyd: locking: timer-impl=%s\n", *timerImpl)
 	}
 	if *authCache > 0 {
 		fmt.Printf("sipproxyd: registrar: auth-cache=%d auth-cache-ttl=%v\n", *authCache, *authCacheTTL)

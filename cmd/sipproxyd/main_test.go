@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,6 +20,38 @@ import (
 	"gosip/internal/trace"
 	"gosip/internal/transport"
 )
+
+// TestMain runs the daemon itself when a test re-executes this binary with
+// asDaemonEnv set.
+func TestMain(m *testing.M) {
+	if os.Getenv(asDaemonEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+const asDaemonEnv = "SIPPROXYD_TEST_AS_DAEMON"
+
+// TestStrayArgumentRejected pins that a word which is not a flag stops the
+// daemon. flag.Parse stops at it, so "-arch tcp fdcache -connmgr pqueue"
+// would otherwise start a Figure 3 server with no fd cache and the scan
+// manager, ignoring everything after "fdcache".
+func TestStrayArgumentRejected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0],
+		"-addr", "127.0.0.1:0", "-users", "1", "-arch", "tcp", "fdcache", "-connmgr", "pqueue")
+	cmd.Env = append(os.Environ(), asDaemonEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("daemon ended with %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `"fdcache"`) {
+		t.Errorf("the error does not name the stray argument:\n%s", out)
+	}
+}
 
 // TestMetricsEndpointSmoke boots a proxy with a metrics listener, drives a
 // little real traffic through it, and validates the exposed surfaces: that

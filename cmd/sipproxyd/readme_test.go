@@ -89,3 +89,60 @@ func TestReadmeNamesOnlyRegisteredFlags(t *testing.T) {
 		t.Fatalf("only %d flag mentions found in README.md; the table format changed?", checked)
 	}
 }
+
+// verdictReasons are the reasons EXPERIMENTS.md "Knob verdicts" accepts for
+// keeping a flag.
+var verdictReasons = map[string]bool{"workload": true, "row": true, "deployment": true, "RFC 3261": true}
+
+var deletedVerdictRe = regexp.MustCompile(`^deleted \(PR \d+\)$`)
+
+// TestKnobVerdictsCoverRegisteredFlags holds the flag set to the published
+// verdict table: every flag main.go registers has exactly one "kept" row
+// with a reason and its evidence, every "kept" row names a registered flag,
+// and a "deleted" row names its PR and no flag that is still registered.
+func TestKnobVerdictsCoverRegisteredFlags(t *testing.T) {
+	flags := registeredFlags(t)
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Knob verdicts\n")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "## Knob verdicts" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	kept := map[string]int{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		m := rowFlagRe.FindStringSubmatch(cells[0])
+		if len(cells) != 4 || m == nil || cells[0] != "`-"+m[1]+"`" {
+			t.Errorf("malformed verdict row %q", line)
+			continue
+		}
+		name, verdict, reason, evidence := m[1], cells[1], cells[2], cells[3]
+		switch {
+		case verdict == "kept":
+			kept[name]++
+			if !flags[name] {
+				t.Errorf("-%s is kept in the verdict table, but sipproxyd does not register it", name)
+			}
+			if !verdictReasons[reason] || evidence == "" {
+				t.Errorf("-%s is kept for %q with evidence %q; want one of workload, row, deployment, RFC 3261 and the evidence", name, reason, evidence)
+			}
+		case deletedVerdictRe.MatchString(verdict):
+			if flags[name] {
+				t.Errorf("-%s is deleted in the verdict table, but sipproxyd still registers it", name)
+			}
+		default:
+			t.Errorf("-%s has verdict %q; want kept or deleted (PR n)", name, verdict)
+		}
+	}
+	for name := range flags {
+		if kept[name] != 1 {
+			t.Errorf("-%s has %d kept rows in EXPERIMENTS.md \"Knob verdicts\", want 1", name, kept[name])
+		}
+	}
+}

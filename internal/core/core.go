@@ -25,7 +25,6 @@ package core
 
 import (
 	"crypto/tls"
-	"crypto/x509"
 	"fmt"
 	"net"
 	"strconv"
@@ -84,6 +83,7 @@ type Config struct {
 	Auth bool
 	// Routes statically maps foreign domains to next-hop proxy addresses
 	// ("host:port"), forming the §2 "sequence of SIP proxy servers".
+	// Domains match case-insensitively; New rejects a malformed hop.
 	Routes map[string]string
 	// RecordRoute keeps in-dialog requests (ACK, BYE) on the proxy path
 	// via Record-Route/Route headers (RFC 3261 §16.6).
@@ -107,9 +107,6 @@ type Config struct {
 	// IdleTimeout is how long a connection may sit unused before the
 	// owning worker returns it (paper: reduced from 120s to 10s).
 	IdleTimeout time.Duration
-	// SupervisorGrace is the additional period the supervisor waits after
-	// a worker returns a connection before destroying it.
-	SupervisorGrace time.Duration
 	// IdleCheckInterval is how often the supervisor and workers look for
 	// idle connections.
 	IdleCheckInterval time.Duration
@@ -129,8 +126,9 @@ type Config struct {
 	// accepted connections run a measured server-side handshake at the top
 	// of their reader, dialed connections a client-side handshake inline
 	// with the dial, and the proxy advertises TLS in its Via. Nil = plain
-	// TCP. The datagram architectures reject it.
-	TLS *TLSSettings
+	// TCP. The datagram architectures reject it. The server overwrites
+	// Profile with its own.
+	TLS *transport.TLSOptions
 
 	// --- substrate knobs ---
 
@@ -149,16 +147,10 @@ type Config struct {
 	// default) or timerlist.ImplHeap (the paper-faithful binary heap, which
 	// keeps cancelled timers resident until their deadline).
 	TimerImpl timerlist.Impl
-	// TimerShards is the wheel's shard count (0 = GOMAXPROCS); ignored by
-	// the heap, which is inherently single-lock.
-	TimerShards int
 	// Txn tunes the transaction layer.
 	Txn transaction.Config
 	// DB configures the simulated persistent store.
 	DB userdb.Config
-	// LocSweepInterval is how often the registrar's expiry wheels advance
-	// (0 = 1s).
-	LocSweepInterval time.Duration
 	// Profile receives instrumentation; one is created when nil.
 	Profile *metrics.Profile
 }
@@ -169,31 +161,11 @@ const (
 	DefaultWorkersTCP = 8
 )
 
-// TLSSettings configures the TLS transport (see Config.TLS). Certificates
-// are supplied by the caller — generated at runtime by tests and the
-// experiment harness (transport.GenerateSelfSigned), or loaded from disk by
-// the daemon; the repository holds no key material.
-type TLSSettings struct {
-	// Cert is presented on accepted connections.
-	Cert tls.Certificate
-	// RootCAs verifies upstream dials (next hops, callee contacts). Nil
-	// falls back to the system pool.
-	RootCAs *x509.CertPool
-	// Resume arms a client session cache so upstream redials resume with a
-	// session ticket instead of paying a full handshake.
-	Resume bool
-	// SessionCache optionally shares a client session cache with other
-	// endpoints (nil + Resume = private LRU).
-	SessionCache tls.ClientSessionCache
-	// TicketRotate rotates the server session-ticket key on this period,
-	// keeping a short key history so outstanding tickets still resume
-	// (0 = crypto/tls internal rotation).
-	TicketRotate time.Duration
-	// HandshakeTimeout bounds every handshake (0 = transport default).
-	HandshakeTimeout time.Duration
-	// InsecureSkipVerify disables upstream verification (load-generator
-	// escape hatch; never set in measured experiments).
-	InsecureSkipVerify bool
+// supervisorGrace is how long the tcp supervisor waits after a worker
+// returns a connection before destroying it: half the idle timeout, at
+// most 5s.
+func (c Config) supervisorGrace() time.Duration {
+	return min(c.IdleTimeout/2, 5*time.Second)
 }
 
 func (c Config) withDefaults() Config {
@@ -219,9 +191,6 @@ func (c Config) withDefaults() Config {
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 10 * time.Second
 	}
-	if c.SupervisorGrace <= 0 {
-		c.SupervisorGrace = c.IdleTimeout / 2
-	}
 	if c.IdleCheckInterval <= 0 {
 		c.IdleCheckInterval = 500 * time.Millisecond
 	}
@@ -233,9 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimerImpl == "" {
 		c.TimerImpl = timerlist.ImplWheel
-	}
-	if c.LocSweepInterval <= 0 {
-		c.LocSweepInterval = time.Second
 	}
 	if c.Profile == nil {
 		c.Profile = metrics.NewProfile()
@@ -309,6 +275,7 @@ type substrate struct {
 	txns   *transaction.Table
 	ctrl   *overload.Controller
 	rec    *trace.Recorder
+	routes map[string]sipmsg.URI // cfg.Routes, parsed
 	// tls is non-nil when the server speaks TLS on its stream sockets. The
 	// whole stream plumbing (StreamConn framing, connmgr, fd cache) is
 	// unchanged — TLS is applied at the net.Conn seam
@@ -338,19 +305,15 @@ func newSubstrate(cfg Config) (*substrate, error) {
 	// Pre-create the full standard name set so every metric a server can
 	// emit is present in /metrics and reports from the start.
 	prof.RegisterStandard()
+	routes, err := proxy.ParseRoutes(cfg.Routes)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	var tlsCtx *transport.TLSContext
 	if cfg.TLS != nil {
-		var err error
-		tlsCtx, err = transport.NewTLSContext(transport.TLSOptions{
-			Cert:               cfg.TLS.Cert,
-			RootCAs:            cfg.TLS.RootCAs,
-			InsecureSkipVerify: cfg.TLS.InsecureSkipVerify,
-			Resume:             cfg.TLS.Resume,
-			SessionCache:       cfg.TLS.SessionCache,
-			TicketRotate:       cfg.TLS.TicketRotate,
-			HandshakeTimeout:   cfg.TLS.HandshakeTimeout,
-			Profile:            prof,
-		})
+		opts := *cfg.TLS
+		opts.Profile = prof
+		tlsCtx, err = transport.NewTLSContext(opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -359,7 +322,6 @@ func newSubstrate(cfg Config) (*substrate, error) {
 	// substrates directly) falls back to the wheel inside NewScheduler.
 	timers, err := timerlist.NewScheduler(cfg.TimerImpl, timerlist.Options{
 		Interval: cfg.TimerInterval,
-		Shards:   cfg.TimerShards,
 		Profile:  prof,
 	})
 	if err != nil {
@@ -372,11 +334,12 @@ func newSubstrate(cfg Config) (*substrate, error) {
 	s := &substrate{
 		cfg:       cfg,
 		prof:      prof,
+		routes:    routes,
 		tls:       tlsCtx,
 		tlsPinned: prof.Counter(metrics.MetricTLSPinnedSends),
 		loc: location.NewService(location.Options{
 			Profile:       prof,
-			SweepInterval: cfg.LocSweepInterval,
+			SweepInterval: time.Second, // the registrar's expiry wheels advance
 		}),
 		db:        userdb.New(cfg.DB, prof),
 		timers:    timers,
@@ -441,7 +404,7 @@ func (s *substrate) bind(kind transport.Kind, addr, host string, port int) {
 	s.engine = proxy.NewEngine(proxy.Config{
 		Mode:         mode,
 		Auth:         s.cfg.Auth,
-		Routes:       s.cfg.Routes,
+		Routes:       s.routes,
 		RecordRoute:  s.cfg.RecordRoute,
 		Stateful:     s.cfg.Stateful,
 		Reliable:     kind == transport.TCP || kind == transport.TLS || s.cfg.Arch == ArchSCTP,

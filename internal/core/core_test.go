@@ -146,7 +146,6 @@ func TestTCPWithPQueueAndChurn(t *testing.T) {
 		FDCache:           true,
 		ConnMgr:           connmgr.KindPQueue,
 		IdleTimeout:       200 * time.Millisecond,
-		SupervisorGrace:   100 * time.Millisecond,
 		IdleCheckInterval: 50 * time.Millisecond,
 	})
 	// ops/conn = 4 → every caller reconnects every two calls.
@@ -186,7 +185,6 @@ func TestIdleConnectionsClosedByServer(t *testing.T) {
 		Arch:              ArchTCP,
 		Workers:           2,
 		IdleTimeout:       100 * time.Millisecond,
-		SupervisorGrace:   50 * time.Millisecond,
 		IdleCheckInterval: 25 * time.Millisecond,
 	})
 	p, err := phone.New(phone.Config{

@@ -220,7 +220,6 @@ func TestIdlePartialMessageGivesBufferBack(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Workers = 1
 			cfg.IdleTimeout = 300 * time.Millisecond
-			cfg.SupervisorGrace = 50 * time.Millisecond
 			cfg.IdleCheckInterval = 25 * time.Millisecond
 			srv := startServer(t, cfg)
 			waitLoans(t, 0)

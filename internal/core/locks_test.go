@@ -68,7 +68,6 @@ func startLossyTimerServer(t *testing.T, impl timerlist.Impl) Server {
 		Txn:           transaction.Config{T1: 40 * time.Millisecond, TimerB: 5 * time.Second, Linger: 200 * time.Millisecond},
 		TimerInterval: 10 * time.Millisecond,
 		TimerImpl:     impl,
-		TimerShards:   4,
 	})
 	if err != nil {
 		t.Fatal(err)

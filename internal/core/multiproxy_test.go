@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +13,8 @@ import (
 // TestTwoProxyChain routes a cross-domain call through a sequence of two
 // proxies (§2: "a sequence of SIP proxy and redirection servers"): the
 // caller's home proxy (domain a) statically routes b-domain requests to
-// the callee's home proxy.
+// the callee's home proxy. The route's domain is in upper case: domains
+// match whatever their case.
 func TestTwoProxyChain(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.UDP, transport.TCP} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -29,7 +32,7 @@ func TestTwoProxyChain(t *testing.T) {
 
 			proxyA, err := New(Config{
 				Arch: arch, Workers: 4, Stateful: true, Domain: "a.dom",
-				Routes: map[string]string{"b.dom": proxyB.Addr()},
+				Routes: map[string]string{"B.DOM": proxyB.Addr()},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -178,6 +181,29 @@ func TestRecordRouteTwoProxyChain(t *testing.T) {
 	for name, srv := range map[string]Server{"A": proxyA, "B": proxyB} {
 		if got := srv.Profile().Counter("proxy.dialog_routed").Value(); got < 4 {
 			t.Errorf("proxy %s dialog-routed %d requests, want >= 4", name, got)
+		}
+	}
+}
+
+// TestRoutesCheckedAtStart pins that a malformed static route fails New
+// with the entry named, instead of answering every request to its domain
+// 404.
+func TestRoutesCheckedAtStart(t *testing.T) {
+	for _, routes := range []map[string]string{
+		{"b.dom": "host:notaport"},
+		{"b.dom": ""},
+		{"": "127.0.0.1:5070"},
+	} {
+		srv, err := New(Config{Arch: ArchUDP, Workers: 1, Domain: "a.dom", Routes: routes})
+		if err == nil {
+			srv.Close()
+			t.Errorf("routes %v accepted", routes)
+			continue
+		}
+		for domain, hop := range routes {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q=%q", domain, hop)) {
+				t.Errorf("routes %v: error %q does not name the entry", routes, err)
+			}
 		}
 	}
 }

@@ -78,7 +78,7 @@ func newTCPServer(cfg Config) (Server, error) {
 	var supMgr connmgr.Manager = connmgr.NewTableScanner(base.table, base.prof)
 	if cfg.ConnMgr == connmgr.KindPQueue {
 		pq := connmgr.NewPQueue(base.prof)
-		pq.ReinsertDelay = cfg.SupervisorGrace
+		pq.ReinsertDelay = cfg.supervisorGrace()
 		supMgr = pq
 	}
 	srv := &tcpServer{
@@ -210,7 +210,7 @@ func (s *tcpServer) destroy(c *conn.TCPConn) {
 // connections the workers have returned, once the additional grace period
 // has elapsed.
 func (s *tcpServer) idleCheck(now time.Time) {
-	grace := s.cfg.SupervisorGrace
+	grace := s.cfg.supervisorGrace()
 	expired := s.supMgr.Expired(now, func(c *conn.TCPConn, now time.Time) bool {
 		return c.State() == conn.StateWorkerReturned && !now.Before(c.Deadline().Add(grace))
 	})

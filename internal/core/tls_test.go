@@ -15,23 +15,20 @@ import (
 )
 
 // tlsFixture generates a runtime certificate and returns matched server
-// settings and a phone-fleet client context trusting it.
-func tlsFixture(t *testing.T, resume bool) (*TLSSettings, *transport.TLSContext) {
+// options and a phone-fleet client context built from the same ones.
+func tlsFixture(t *testing.T, resume bool) (*transport.TLSOptions, *transport.TLSContext) {
 	t.Helper()
 	cert, pool, err := transport.GenerateSelfSigned("core.tls.test")
 	if err != nil {
 		t.Fatalf("GenerateSelfSigned: %v", err)
 	}
-	fleet, err := transport.NewTLSContext(transport.TLSOptions{
-		Cert:    cert,
-		RootCAs: pool,
-		Resume:  resume,
-	})
+	opts := transport.TLSOptions{Cert: cert, RootCAs: pool, Resume: resume}
+	fleet, err := transport.NewTLSContext(opts)
 	if err != nil {
 		t.Fatalf("fleet context: %v", err)
 	}
 	t.Cleanup(fleet.Close)
-	return &TLSSettings{Cert: cert, RootCAs: pool, Resume: resume}, fleet
+	return &opts, fleet
 }
 
 // runTLSLoad is runLoad with the fleet's TLS context attached.

@@ -27,11 +27,10 @@ var registry = []*Sweep{
 
 // idle is the paper's tuned connection management (§4.3): connections
 // churned by the non-persistent workloads accumulate in the shared table
-// for the 10s idle timeout, which is what makes the baseline full-table
-// scan expensive.
+// for the 10s idle timeout (and the supervisor's 5s grace after it), which
+// is what makes the baseline full-table scan expensive.
 func idle(c *core.Config) {
 	c.IdleTimeout = 10 * time.Second
-	c.SupervisorGrace = 5 * time.Second
 	c.IdleCheckInterval = 100 * time.Millisecond
 }
 
@@ -246,9 +245,9 @@ func overloadRows() []Row {
 }
 
 // locks compares the synchronization structure of the transaction hot
-// path: timer policy (binary heap vs sharded wheel) and transaction-table
-// shard count, over datagrams and the threaded stream server. Every row is
-// stateful, and a 4s linger keeps completed transactions and their
+// path: timer policy (binary heap vs sharded wheel) over datagrams and the
+// threaded stream server, on the default sharded transaction table. Every
+// row is stateful, and a 4s linger keeps completed transactions and their
 // timers resident so the standing population reaches the tens of
 // thousands the heap-vs-wheel comparison is about.
 var locks = &Sweep{
@@ -258,15 +257,13 @@ var locks = &Sweep{
 	Loads: []int{16, 128}, Calls: 50, Workers: 4, Reps: 5,
 	Server: func(c *core.Config) {
 		c.ConnMgr = connmgr.KindPQueue
-		c.TimerShards = 4
 		c.Txn.Linger = 4 * time.Second
 	},
 	Rows: []Row{
-		{Name: "udp/heap/txn1", Transport: transport.UDP, Server: timers(timerlist.ImplHeap, 1)},
-		{Name: "udp/heap/sharded", Transport: transport.UDP, Ref: "udp/heap/txn1", Server: timers(timerlist.ImplHeap, 0)},
-		{Name: "udp/wheel/sharded", Transport: transport.UDP, Ref: "udp/heap/sharded", Server: timers(timerlist.ImplWheel, 0)},
-		{Name: "threaded/heap/sharded", Transport: transport.TCP, Server: timers(timerlist.ImplHeap, 0)},
-		{Name: "threaded/wheel/sharded", Transport: transport.TCP, Ref: "threaded/heap/sharded", Server: timers(timerlist.ImplWheel, 0)},
+		{Name: "udp/heap/sharded", Transport: transport.UDP, Server: timers(timerlist.ImplHeap)},
+		{Name: "udp/wheel/sharded", Transport: transport.UDP, Ref: "udp/heap/sharded", Server: timers(timerlist.ImplWheel)},
+		{Name: "threaded/heap/sharded", Transport: transport.TCP, Server: timers(timerlist.ImplHeap)},
+		{Name: "threaded/wheel/sharded", Transport: transport.TCP, Ref: "threaded/heap/sharded", Server: timers(timerlist.ImplWheel)},
 	},
 	Cols: []Column{
 		{"lock wait/op", func(c, _ *Cell) string {
@@ -284,11 +281,11 @@ var locks = &Sweep{
 	},
 }
 
-// timers selects a locks row's timer policy and transaction shard count; a
-// TCP row runs the threaded architecture.
-func timers(impl timerlist.Impl, txnShards int) func(*core.Config) {
+// timers selects a locks row's timer policy; a TCP row runs the threaded
+// architecture.
+func timers(impl timerlist.Impl) func(*core.Config) {
 	return func(c *core.Config) {
-		c.TimerImpl, c.Txn.Shards = impl, txnShards
+		c.TimerImpl = impl
 		if c.Arch == core.ArchTCP {
 			c.Arch = core.ArchThreaded
 		}

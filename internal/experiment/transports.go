@@ -65,7 +65,7 @@ func tlsRow(name string, opsPerConn int, resume bool) Row {
 	return Row{Name: name, Transport: transport.TLS, OpsPerConn: opsPerConn, Ref: "TCP persistent",
 		Server: func(c *core.Config) {
 			conns(true, connmgr.KindPQueue)(c)
-			c.TLS = &core.TLSSettings{Resume: resume, TicketRotate: 30 * time.Second}
+			c.TLS = &transport.TLSOptions{Resume: resume, TicketRotate: 30 * time.Second}
 		}}
 }
 

@@ -115,11 +115,11 @@ type Config struct {
 	// lookup per request (the configuration Nahum et al. found most
 	// expensive).
 	Auth bool
-	// Routes maps foreign domains to next-hop proxy addresses
-	// ("host:port"). A request whose Request-URI host is not this proxy's
-	// domain and has a route entry is forwarded to that proxy rather than
-	// resolved locally — the multi-proxy message routing of §2.
-	Routes map[string]string
+	// Routes maps foreign domains, lowercased, to next-hop proxies (build
+	// it with ParseRoutes). A request whose Request-URI host is not this
+	// proxy's domain and has a route entry is forwarded to that proxy
+	// rather than resolved locally — the multi-proxy message routing of §2.
+	Routes map[string]sipmsg.URI
 	// RecordRoute makes the proxy insert a Record-Route header on
 	// dialog-forming requests so in-dialog requests (ACK, BYE) route back
 	// through it via Route headers (RFC 3261 §16.6/§12.2) instead of
@@ -129,6 +129,24 @@ type Config struct {
 	// responses (RFC 3261 §21.5.4) so clients back off instead of
 	// retransmitting into an overloaded or degraded server.
 	RetryAfter time.Duration
+}
+
+// ParseRoutes turns static next hops, "host:port" keyed by domain, into
+// Config.Routes: each hop parsed once, each domain lowercased. The error
+// names the bad entry.
+func ParseRoutes(routes map[string]string) (map[string]sipmsg.URI, error) {
+	out := make(map[string]sipmsg.URI, len(routes))
+	for domain, hop := range routes {
+		u, err := sipmsg.ParseURI("sip:" + hop)
+		if err == nil && domain == "" {
+			err = fmt.Errorf("empty domain")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("proxy: route %q=%q: %w", domain, hop, err)
+		}
+		out[strings.ToLower(domain)] = u
+	}
+	return out, nil
 }
 
 // Engine is the proxy core.
@@ -438,11 +456,7 @@ func (e *Engine) route(m *sipmsg.Message, dialogRouted bool) (location.Binding, 
 	host := strings.ToLower(m.RequestURI.Host)
 	if host != strings.ToLower(e.cfg.Domain) {
 		if hop, ok := e.cfg.Routes[host]; ok {
-			hopURI, err := sipmsg.ParseURI("sip:" + hop)
-			if err != nil {
-				return location.Binding{}, false
-			}
-			return location.Binding{Contact: hopURI, Transport: e.cfg.ViaTransport}, true
+			return location.Binding{Contact: hop, Transport: e.cfg.ViaTransport}, true
 		}
 		if dialogRouted {
 			// Final hop of a loose route: deliver to the Request-URI.

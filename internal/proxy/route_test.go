@@ -26,7 +26,7 @@ func newRoutingEnv(t *testing.T) *env {
 		Stateful: true, Reliable: true,
 		ViaTransport: "UDP", ViaHost: "127.0.0.1", ViaPort: 5060,
 		Domain:      "test.dom",
-		Routes:      map[string]string{"b.dom": "10.8.8.8:5070"},
+		Routes:      map[string]sipmsg.URI{"b.dom": {Host: "10.8.8.8", Port: 5070}},
 		RecordRoute: true,
 	}, loc, db, txns, prof)
 	return &env{engine: e, loc: loc, db: db, txns: txns, timers: timers, prof: prof}

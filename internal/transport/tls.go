@@ -40,12 +40,9 @@ type TLSOptions struct {
 	// pointing the load generator at a proxy whose CA it does not hold.
 	InsecureSkipVerify bool
 	// Resume arms a client session cache on the dial side so reconnects
-	// resume with a session ticket instead of a full handshake.
+	// resume with a session ticket instead of a full handshake. The cache
+	// is the context's own, shared by every connection it dials.
 	Resume bool
-	// SessionCache is the client session cache to use when Resume is set;
-	// nil creates a private LRU. Sharing one cache across a phone fleet
-	// models a UA farm amortizing tickets across reconnects.
-	SessionCache tls.ClientSessionCache
 	// TicketRotate, when positive, rotates the server's session-ticket key
 	// on this period (keeping tlsTicketKeyHistory keys live). Zero keeps
 	// crypto/tls's internal automatic rotation.
@@ -112,11 +109,7 @@ func NewTLSContext(o TLSOptions) (*TLSContext, error) {
 		MinVersion:         tls.VersionTLS12,
 	}
 	if o.Resume {
-		cache := o.SessionCache
-		if cache == nil {
-			cache = tls.NewLRUClientSessionCache(1024)
-		}
-		t.client.ClientSessionCache = cache
+		t.client.ClientSessionCache = tls.NewLRUClientSessionCache(1024)
 	}
 	if o.TicketRotate > 0 {
 		// Install an explicit key so rotation is ours to drive; the newest
