@@ -616,10 +616,18 @@ func (s *Service) HandleRegister(req *sipmsg.Message, source, transport string, 
 		Transport: transport,
 		Source:    source,
 	}, ttl, now)
-	resp := sipmsg.NewResponse(req, sipmsg.StatusOK, sipmsg.NewTag())
-	resp.Add("Contact", contact.String())
+	// Contact and Expires are rendered into one buffer and share one string.
+	var b [128]byte
+	buf := contact.AppendTo(b[:0])
+	n := len(buf)
 	if ttl > 0 {
-		resp.Add("Expires", strconv.Itoa(int(ttl/time.Second)))
+		buf = strconv.AppendInt(buf, int64(ttl/time.Second), 10)
+	}
+	vals := string(buf)
+	resp := sipmsg.NewResponse(req, sipmsg.StatusOK, sipmsg.NewTag())
+	resp.Add("Contact", vals[:n])
+	if ttl > 0 {
+		resp.Add("Expires", vals[n:])
 	}
 	return resp
 }

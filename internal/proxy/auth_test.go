@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,13 +74,85 @@ func TestParseChallenge(t *testing.T) {
 	}
 }
 
+// TestSplitAuthParamsQuotedCommas: a comma inside a quoted value does not
+// end the parameter.
 func TestSplitAuthParamsQuotedCommas(t *testing.T) {
-	parts := splitAuthParams(`username="a,b", nonce="n"`)
-	if len(parts) != 2 {
-		t.Fatalf("parts = %v", parts)
+	c, err := ParseCredentials(`Digest username="a,b", nonce="n", response="r"`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(parts[0], "a,b") {
-		t.Errorf("quoted comma split: %v", parts)
+	if c.Username != "a,b" || c.Nonce != "n" || c.Response != "r" {
+		t.Errorf("quoted comma split: %+v", c)
+	}
+}
+
+// TestDigestSchemeCaseAndLWS: the scheme is a case-insensitive token and
+// any linear white space may follow it (RFC 3261 §25.1), so none of these
+// may be refused as "not a Digest" value.
+func TestDigestSchemeCaseAndLWS(t *testing.T) {
+	for _, scheme := range []string{"digest ", "DIGEST ", "Digest\t", "dIgEsT \t "} {
+		c, err := ParseCredentials(scheme + `username="u", nonce="n", response="r"`)
+		if err != nil || c.Username != "u" || c.Nonce != "n" || c.Response != "r" {
+			t.Errorf("ParseCredentials(%q...) = %+v, %v", scheme, c, err)
+		}
+		realm, nonce, err := ParseChallenge(scheme + `realm="r.example", nonce="n-1"`)
+		if err != nil || realm != "r.example" || nonce != "n-1" {
+			t.Errorf("ParseChallenge(%q...) = %q, %q, %v", scheme, realm, nonce, err)
+		}
+	}
+	for _, bad := range []string{"Digestusername=\"u\"", "Digests username=\"u\"", "Digest", "Diges"} {
+		if _, _, err := ParseChallenge(bad); err == nil {
+			t.Errorf("ParseChallenge(%q) accepted", bad)
+		}
+	}
+}
+
+// TestLowercaseSchemeRegisters: a registration whose credentials spell the
+// scheme in lower case is answered 200, not challenged again.
+func TestLowercaseSchemeRegisters(t *testing.T) {
+	v := authEnv(t)
+	s := &fakeSender{}
+	u := sipmsg.URI{User: userdb.UserName(2), Host: "test.dom"}
+	reg := authorizedRequest(sipmsg.NewRequest(sipmsg.RequestSpec{
+		Method: sipmsg.REGISTER, RequestURI: sipmsg.URI{Host: "test.dom"},
+		From: sipmsg.NameAddr{URI: u, Params: map[string]string{"tag": "t"}}, To: sipmsg.NameAddr{URI: u},
+		CallID: sipmsg.NewCallID("ph"), CSeq: 1,
+		Via:     sipmsg.Via{Transport: "UDP", Host: "10.0.0.3", Port: 5073},
+		Contact: &sipmsg.NameAddr{URI: sipmsg.URI{User: userdb.UserName(2), Host: "10.0.0.3", Port: 5073}},
+	}), userdb.UserName(2))
+	creds, _ := reg.Get("Authorization")
+	reg.Set("Authorization", "digest\t"+strings.TrimPrefix(creds, "Digest "))
+	v.engine.Handle(s, reg, "o")
+	if got := s.originMsgs()[0].msg.StatusCode; got != sipmsg.StatusOK {
+		t.Errorf("lowercase scheme: status = %d, want 200", got)
+	}
+}
+
+// TestChallengeBytes: the challenge is the bytes fmt's %q quoting rendered
+// for a token-character realm, and the engine sends exactly FormatChallenge
+// of its domain and the request's nonce.
+func TestChallengeBytes(t *testing.T) {
+	for _, realm := range []string{"test.dom", "bench.gosip", "a-b_c.example", "x"} {
+		nonce := DigestNonce("call-" + realm)
+		want := fmt.Sprintf(`Digest realm=%q, nonce=%q, algorithm=MD5`, realm, nonce)
+		if got := FormatChallenge(realm, nonce); got != want {
+			t.Errorf("FormatChallenge = %q, want %q", got, want)
+		}
+	}
+	c := Credentials{Username: "user7", Realm: "test.dom", Nonce: "abc", URI: "sip:test.dom", Response: "0f"}
+	want := fmt.Sprintf(`Digest username=%q, realm=%q, nonce=%q, uri=%q, response=%q, algorithm=MD5`,
+		c.Username, c.Realm, c.Nonce, c.URI, c.Response)
+	if got := c.Format(); got != want {
+		t.Errorf("Format = %q, want %q", got, want)
+	}
+
+	v := authEnv(t)
+	s := &fakeSender{}
+	req := invite(0, 1)
+	v.engine.Handle(s, req, "o")
+	got, _ := s.originMsgs()[0].msg.Get("Proxy-Authenticate")
+	if want := FormatChallenge("test.dom", DigestNonce(req.CallID())); got != want {
+		t.Errorf("407 challenge = %q, want %q", got, want)
 	}
 }
 

@@ -108,18 +108,20 @@ func NewRequest(spec RequestSpec) *Message {
 
 // NewResponse builds a response to req per RFC 3261 §8.2.6: Via stack,
 // From, Call-ID, and CSeq are copied; To is copied and, for non-100
-// responses, given toTag when the request's To had none.
+// responses, given ";tag=" + toTag when the request's To had no tag
+// (§8.2.6.2). A To that does not parse is copied as it is.
 func NewResponse(req *Message, code int, toTag string) *Message {
 	resp := &Message{StatusCode: code, Reason: StatusText(code)}
-	// Sized for the copied Via stack plus From, To, Call-ID, CSeq and one
-	// header of the caller's (Contact, Retry-After, a challenge).
+	// Sized for the copied Via stack plus From, To, Call-ID, CSeq and two
+	// headers of the caller's (a registrar's Contact and Expires, a
+	// challenge, Retry-After).
 	vias := 0
 	for i := range req.Headers {
 		if req.Headers[i].Name == "Via" {
 			vias++
 		}
 	}
-	resp.Headers = make([]Header, 0, vias+5)
+	resp.Headers = make([]Header, 0, vias+6)
 	for i := range req.Headers {
 		if req.Headers[i].Name == "Via" {
 			resp.Headers = append(resp.Headers, req.Headers[i])
@@ -130,8 +132,8 @@ func NewResponse(req *Message, code int, toTag string) *Message {
 	}
 	to, _ := req.Get("To")
 	if code != StatusTrying && toTag != "" {
-		if na, err := ParseNameAddr(to); err == nil && na.Params["tag"] == "" {
-			to = na.WithTag(toTag).String()
+		if tag, err := nameAddrTag(to); err == nil && tag == "" {
+			to = to + ";tag=" + toTag
 		}
 	}
 	resp.Add("To", to)

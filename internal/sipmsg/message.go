@@ -564,11 +564,8 @@ func tagOf(m *Message, name string) string {
 	if !ok {
 		return ""
 	}
-	na, err := ParseNameAddr(v)
-	if err != nil {
-		return ""
-	}
-	return na.Params["tag"]
+	tag, _ := nameAddrTag(v)
+	return tag
 }
 
 // TopViaBranch returns the branch parameter of the first Via header ("" when

@@ -14,7 +14,7 @@ func (m *Message) AppendTo(buf []byte) []byte {
 	if m.IsRequest {
 		buf = append(buf, string(m.Method)...)
 		buf = append(buf, ' ')
-		buf = m.RequestURI.appendTo(buf)
+		buf = m.RequestURI.AppendTo(buf)
 		buf = append(buf, ' ')
 		buf = append(buf, SIPVersion...)
 	} else {

@@ -108,33 +108,9 @@ func parseParams(s string) map[string]string {
 	return params
 }
 
-// formatParams renders params deterministically (sorted) so serialization
-// is stable for round-trip tests.
-func formatParams(params map[string]string) string {
-	if len(params) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteByte(';')
-		b.WriteString(k)
-		if v := params[k]; v != "" {
-			b.WriteByte('=')
-			b.WriteString(v)
-		}
-	}
-	return b.String()
-}
-
-// appendTo appends the canonical URI form to buf. It matches String()
-// byte-for-byte but avoids the strings.Builder allocations on the
-// serialization fast path.
-func (u URI) appendTo(buf []byte) []byte {
+// AppendTo appends the canonical URI form to buf: what String returns,
+// without allocating on the serialization fast path.
+func (u URI) AppendTo(buf []byte) []byte {
 	buf = append(buf, "sip:"...)
 	if u.User != "" {
 		buf = append(buf, u.User...)
@@ -181,25 +157,10 @@ func appendParams(buf []byte, params map[string]string) []byte {
 	return buf
 }
 
-// AppendTo appends the canonical URI form to buf — the same bytes as
-// String(), without the builder allocations.
-func (u URI) AppendTo(buf []byte) []byte { return u.appendTo(buf) }
-
 // String renders the URI in canonical form.
 func (u URI) String() string {
-	var b strings.Builder
-	b.WriteString("sip:")
-	if u.User != "" {
-		b.WriteString(u.User)
-		b.WriteByte('@')
-	}
-	b.WriteString(u.Host)
-	if u.Port != 0 {
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(u.Port))
-	}
-	b.WriteString(formatParams(u.Params))
-	return b.String()
+	var b [64]byte
+	return string(u.AppendTo(b[:0]))
 }
 
 // HostPort renders "host:port" using the default SIP port when unset;
@@ -243,63 +204,68 @@ type NameAddr struct {
 //	<sip:bob@b.example>
 //	sip:bob@b.example;tag=x   (addr-spec form: params belong to the header)
 func ParseNameAddr(s string) (NameAddr, error) {
+	na, params, err := parseNameAddrHead(s)
+	if err == nil && params != "" {
+		na.Params = parseParams(params)
+	}
+	return na, err
+}
+
+// parseNameAddrHead parses everything of a name-addr but its header
+// parameters, which it returns unparsed (without the leading ';').
+func parseNameAddrHead(s string) (na NameAddr, params string, err error) {
 	s = strings.TrimSpace(s)
-	var na NameAddr
 	if i := strings.IndexByte(s, '<'); i >= 0 {
 		end := strings.IndexByte(s, '>')
 		if end < i {
-			return na, fmt.Errorf("sipmsg: name-addr %q: unbalanced angle brackets", s)
+			return na, "", fmt.Errorf("sipmsg: name-addr %q: unbalanced angle brackets", s)
 		}
 		na.Display = strings.Trim(strings.TrimSpace(s[:i]), `"`)
-		uri, err := ParseURI(s[i+1 : end])
-		if err != nil {
-			return na, err
+		if na.URI, err = ParseURI(s[i+1 : end]); err != nil {
+			return na, "", err
 		}
-		na.URI = uri
-		if rest := strings.TrimSpace(s[end+1:]); rest != "" {
-			rest = strings.TrimPrefix(rest, ";")
-			na.Params = parseParams(rest)
-		}
-		return na, nil
+		return na, strings.TrimPrefix(strings.TrimSpace(s[end+1:]), ";"), nil
 	}
 	// addr-spec form: any ";" params belong to the header, not the URI.
 	uriPart := s
 	if i := strings.IndexByte(s, ';'); i >= 0 {
-		uriPart = s[:i]
-		na.Params = parseParams(s[i+1:])
+		uriPart, params = s[:i], s[i+1:]
 	}
-	uri, err := ParseURI(uriPart)
+	if na.URI, err = ParseURI(uriPart); err != nil {
+		return na, "", err
+	}
+	return na, params, nil
+}
+
+// nameAddrTag returns the tag parameter of a From/To value ("" when it
+// has none): ParseNameAddr(s) and then Params["tag"], without the
+// parameter map.
+func nameAddrTag(s string) (string, error) {
+	_, params, err := parseNameAddrHead(s)
 	if err != nil {
-		return na, err
+		return "", err
 	}
-	na.URI = uri
-	return na, nil
+	return paramValue(params, "tag"), nil
+}
+
+// AppendTo appends the NameAddr in angle-bracket form to buf, header
+// parameters (sorted) included.
+func (na NameAddr) AppendTo(buf []byte) []byte {
+	if na.Display != "" {
+		buf = append(buf, '"')
+		buf = append(buf, na.Display...)
+		buf = append(buf, `" `...)
+	}
+	buf = append(buf, '<')
+	buf = na.URI.AppendTo(buf)
+	buf = append(buf, '>')
+	return appendParams(buf, na.Params)
 }
 
 // String renders the NameAddr in angle-bracket form.
 func (na NameAddr) String() string {
-	var b strings.Builder
-	if na.Display != "" {
-		b.WriteByte('"')
-		b.WriteString(na.Display)
-		b.WriteString(`" `)
-	}
-	b.WriteByte('<')
-	b.WriteString(na.URI.String())
-	b.WriteByte('>')
-	b.WriteString(formatParams(na.Params))
-	return b.String()
-}
-
-// WithTag returns a copy of na with the tag parameter set.
-func (na NameAddr) WithTag(tag string) NameAddr {
-	out := na
-	out.Params = make(map[string]string, len(na.Params)+1)
-	for k, v := range na.Params {
-		out.Params[k] = v
-	}
-	out.Params["tag"] = tag
-	return out
+	var b [96]byte
+	return string(na.AppendTo(b[:0]))
 }
 
 // Via is a parsed Via header value:
@@ -362,7 +328,8 @@ func viaBranch(s string) (string, error) {
 // parseParams(s)[name] would: the last occurrence wins, a flag parameter
 // reads as "". Keys compare by EqualFold where parseParams lowercases them;
 // the two differ only on U+017F, U+0130 and U+212A, which fold to s, i and
-// k — letters "branch", the one name looked up this way, does not have.
+// k — letters "branch" and "tag", the names looked up this way, do not
+// have.
 func paramValue(s, name string) string {
 	val := ""
 	for s != "" {

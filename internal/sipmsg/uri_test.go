@@ -124,21 +124,6 @@ func TestParseNameAddr(t *testing.T) {
 	}
 }
 
-func TestNameAddrWithTag(t *testing.T) {
-	na, _ := ParseNameAddr("<sip:bob@b.com>")
-	tagged := na.WithTag("t1")
-	if tagged.Params["tag"] != "t1" {
-		t.Errorf("WithTag: %+v", tagged.Params)
-	}
-	if na.Params["tag"] != "" {
-		t.Error("WithTag mutated original")
-	}
-	rt, err := ParseNameAddr(tagged.String())
-	if err != nil || rt.Params["tag"] != "t1" {
-		t.Errorf("tagged round trip: %v %+v", err, rt)
-	}
-}
-
 func TestParseVia(t *testing.T) {
 	v, err := ParseVia("SIP/2.0/UDP pc33.atlanta.com:5066;branch=z9hG4bK776;received=10.0.0.1")
 	if err != nil {
@@ -184,5 +169,54 @@ func TestViaRoundTrip(t *testing.T) {
 	}
 	if v2.String() != v.String() {
 		t.Errorf("round trip %q -> %q", v.String(), v2.String())
+	}
+}
+
+// TestNewResponseAppendsToTag: a response's To is the request's To value
+// as received plus ";tag=" when it had no tag (RFC 3261 §8.2.6.2). A tag
+// in any case, a 100, or a To that does not parse leaves it as it is.
+func TestNewResponseAppendsToTag(t *testing.T) {
+	for _, tc := range []struct{ to, want string }{
+		{"<sip:bob@b.example>", "<sip:bob@b.example>;tag=t9"},
+		{`"Bob B" <sip:bob@b.example;transport=tcp>;x=1`, `"Bob B" <sip:bob@b.example;transport=tcp>;x=1;tag=t9`},
+		{"sip:bob@b.example", "sip:bob@b.example;tag=t9"},
+		{"<sip:bob@b.example>;tag=", "<sip:bob@b.example>;tag=;tag=t9"},
+		{"<sip:bob@b.example>;tag=abc", "<sip:bob@b.example>;tag=abc"},
+		{"<sip:bob@b.example> ; TAG=abc", "<sip:bob@b.example> ; TAG=abc"},
+		{"sip:bob@b.example;Tag=abc", "sip:bob@b.example;Tag=abc"},
+		{"<sip:bob@b.example", "<sip:bob@b.example"},
+		{"garbage", "garbage"},
+	} {
+		req := &Message{IsRequest: true, Method: INVITE}
+		req.Add("Via", "SIP/2.0/UDP h;branch=z9hG4bKx")
+		req.Add("To", tc.to)
+		if got, _ := NewResponse(req, StatusOK, "t9").Get("To"); got != tc.want {
+			t.Errorf("To %q: response To = %q, want %q", tc.to, got, tc.want)
+		}
+		if got, _ := NewResponse(req, StatusTrying, "t9").Get("To"); got != tc.to {
+			t.Errorf("To %q: 100 To = %q, want it unchanged", tc.to, got)
+		}
+		if na, err := ParseNameAddr(tc.to); err == nil {
+			resp, _ := NewResponse(req, StatusOK, "t9").Get("To")
+			if rt, err := ParseNameAddr(resp); err != nil || rt.Params["tag"] == "" || rt.URI.String() != na.URI.String() {
+				t.Errorf("To %q: response To %q parses to %+v, %v", tc.to, resp, rt, err)
+			}
+		}
+	}
+}
+
+// TestNameAddrAppendTo: String is AppendTo into a fresh buffer, header
+// parameters sorted after the bracketed URI.
+func TestNameAddrAppendTo(t *testing.T) {
+	na, err := ParseNameAddr(`"A" <sip:a@h:5070;lr>;tag=1;expires=60`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `"A" <sip:a@h:5070;lr>;expires=60;tag=1`
+	if got := string(na.AppendTo([]byte("x"))); got != "x"+want {
+		t.Errorf("AppendTo = %q", got)
+	}
+	if got := na.String(); got != want {
+		t.Errorf("String = %q", got)
 	}
 }
