@@ -185,8 +185,13 @@ func NewTable(profile *metrics.Profile) *Table {
 	}
 }
 
-// lock acquires the global table lock, accounting wait time.
+// lock acquires the global table lock, charging any contended wait to the
+// lock-wait timer. The TryLock fast path costs one CAS when uncontended, so
+// only a contended acquisition reads the clock and spins with sched_yield.
 func (t *Table) lock() {
+	if t.mu.TryLock() {
+		return
+	}
 	start := time.Now()
 	t.mu.Lock()
 	t.lockWait.AddDuration(time.Since(start))

@@ -213,6 +213,21 @@ func TestLookupReplacedKey(t *testing.T) {
 	}
 }
 
+// TestUncontendedLookupChargesNoWait pins the lock-wait timer to contended
+// acquisitions, as lock.txn_shards, lock.timers and lock.location count:
+// an uncontended Lookup takes the TryLock fast path and reads no clock.
+func TestUncontendedLookupChargesNoWait(t *testing.T) {
+	prof := metrics.NewProfile()
+	tb := NewTable(prof)
+	c := tb.Insert(pipeStream(t), time.Minute)
+	if tb.Lookup(c.Key()) != c {
+		t.Fatal("Lookup failed")
+	}
+	if got := prof.Timer(metrics.MetricLockWaitTime).Count(); got != 0 {
+		t.Errorf("lock.conn_table count = %d after an uncontended Insert and Lookup, want 0", got)
+	}
+}
+
 func TestForEachLockedVisitsAll(t *testing.T) {
 	tb := newTestTable(t)
 	const n = 20

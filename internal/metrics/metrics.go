@@ -279,7 +279,7 @@ const (
 	// MetricFinalRetransmits counts Timer G retransmissions of a non-2xx
 	// INVITE final while the server transaction waits for its ACK.
 	MetricFinalRetransmits = "txn.final_retransmits"
-	MetricLockWaitTime     = "lock.conn_table"   // time waiting on the shared connection table lock
+	MetricLockWaitTime     = "lock.conn_table"   // contended wait on the shared connection table lock
 	MetricTimerLockWait    = "lock.timers"       // contended wait on the timer subsystem's lock(s)
 	MetricTxnLockWait      = "lock.txn_shards"   // contended wait on transaction-table shard locks
 	MetricSupervisorWork   = "supervisor.handle" // time the supervisor spends handling requests

@@ -65,15 +65,18 @@ type Config struct {
 	// TargetOccupancy is the occupancy policy's busy-fraction setpoint
 	// (0 = 0.85).
 	TargetOccupancy float64
-	// Window is the occupancy measurement period (0 = 100ms).
-	Window time.Duration
-	// MinAdmit floors the occupancy policy's admission fraction so probing
-	// traffic always gets through and the controller can recover (0 = 0.05).
-	MinAdmit float64
 	// RetryAfter is the base delay advertised on 503 rejections
 	// (0 = 1s). The advertised value grows with overload severity.
 	RetryAfter time.Duration
+
+	// window is the occupancy measurement period (0 = 100ms). Only this
+	// package's tests set it, to shorten or stretch a run.
+	window time.Duration
 }
+
+// minAdmit floors the occupancy policy's admission fraction so probing
+// traffic always gets through and the controller can recover.
+const minAdmit = 0.05
 
 // WithDefaults fills zero fields given the server's worker count.
 func (c Config) WithDefaults(workers int) Config {
@@ -89,11 +92,8 @@ func (c Config) WithDefaults(workers int) Config {
 	if c.TargetOccupancy <= 0 {
 		c.TargetOccupancy = 0.85
 	}
-	if c.Window <= 0 {
-		c.Window = 100 * time.Millisecond
-	}
-	if c.MinAdmit <= 0 {
-		c.MinAdmit = 0.05
+	if c.window <= 0 {
+		c.window = 100 * time.Millisecond
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -191,7 +191,7 @@ func (c *Controller) Decide(queued int) (admit bool, retryAfter time.Duration) {
 		}
 		// A small admission fraction means deep overload: back callers off
 		// proportionally.
-		return false, scaleRetryAfter(c.cfg.RetryAfter, 1/math.Max(f, c.cfg.MinAdmit))
+		return false, scaleRetryAfter(c.cfg.RetryAfter, 1/math.Max(f, minAdmit))
 	default:
 		return true, 0
 	}
@@ -243,7 +243,7 @@ func (c *Controller) AdmitFraction() float64 {
 // boundary; the rest use the fraction as-is.
 func (c *Controller) rollWindow(now int64) {
 	ws := c.winStart.Load()
-	if now-ws < int64(c.cfg.Window) {
+	if now-ws < int64(c.cfg.window) {
 		return
 	}
 	if !c.winStart.CompareAndSwap(ws, now) {
@@ -261,7 +261,7 @@ func (c *Controller) rollWindow(now int64) {
 	} else {
 		f *= c.cfg.TargetOccupancy / occ
 	}
-	f = math.Min(1, math.Max(c.cfg.MinAdmit, f))
+	f = math.Min(1, math.Max(minAdmit, f))
 	c.admitBits.Store(math.Float64bits(f))
 }
 

@@ -77,8 +77,7 @@ func TestOccupancyAdaptsDown(t *testing.T) {
 	c, _ := newCtrl(t, Config{
 		Policy:          PolicyOccupancy,
 		TargetOccupancy: 0.5,
-		Window:          time.Millisecond,
-		MinAdmit:        0.05,
+		window:          time.Millisecond,
 	}, 1, nil)
 
 	// Report far more busy time than one worker has wall time: occupancy
@@ -104,7 +103,7 @@ func TestOccupancyAdaptsDown(t *testing.T) {
 }
 
 func TestOccupancyRejectsProportionally(t *testing.T) {
-	c, _ := newCtrl(t, Config{Policy: PolicyOccupancy, Window: time.Hour}, 1, nil)
+	c, _ := newCtrl(t, Config{Policy: PolicyOccupancy, window: time.Hour}, 1, nil)
 	// Pin the fraction at the floor and check the admit rate tracks it.
 	c.admitBits.Store(math.Float64bits(0.05))
 	admitted := 0

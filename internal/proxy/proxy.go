@@ -162,9 +162,11 @@ type Engine struct {
 	viaPrefix string
 
 	// timerSender delivers retransmissions and timeouts from the timer
-	// goroutine; nil disables retransmission even for unreliable
-	// transports.
+	// goroutine. timers is the transaction table's TimerHandler: the engine
+	// itself over an unreliable transport with a timer sender, else nil, so
+	// the table arms no timer ("the timer process is superfluous for TCP").
 	timerSender Sender
+	timers      transaction.TimerHandler
 
 	msgs           *metrics.Counter
 	drops          *metrics.Counter
@@ -202,8 +204,15 @@ func NewEngine(cfg Config, loc *location.Service, db *userdb.DB, txns *transacti
 }
 
 // SetTimerSender installs the sender used by retransmission callbacks
-// (typically a UDP server socket, usable from any goroutine).
-func (e *Engine) SetTimerSender(s Sender) { e.timerSender = s }
+// (typically a UDP server socket, usable from any goroutine). Over an
+// unreliable transport it turns the transaction timers on.
+func (e *Engine) SetTimerSender(s Sender) {
+	e.timerSender = s
+	e.timers = nil
+	if !e.cfg.Reliable && s != nil {
+		e.timers = e
+	}
+}
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -550,13 +559,11 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 	// Step 2 makes the proxy responsible for delivery: retransmit over
 	// unreliable transports until a response arrives (Timer A/E), failing
 	// upstream with 408 when Timer B/F fires.
-	if !e.cfg.Reliable && e.timerSender != nil {
-		e.txns.ArmClientTimers(tx, e)
-	}
+	e.txns.ArmClientTimers(tx, e.timers)
 }
 
-// RetransmitRequest and RequestTimedOut make the engine the transaction
-// table's ClientTimerHandler. Both run on the timer goroutine and send
+// RetransmitRequest, RequestTimedOut and RetransmitFinal make the engine the
+// transaction table's TimerHandler. They run on the timer goroutine and send
 // through the timer sender; the transaction may have been answered since
 // the timer fired, in which case it no longer holds what they ask it for.
 
@@ -584,6 +591,13 @@ func (e *Engine) RequestTimedOut(tx *transaction.Transaction) {
 	defer req.Release()
 	txTrace(tx).Gap(trace.StageWaitDown, time.Now())
 	e.finalizeLocal(e.timerSender, tx, req, sipmsg.StatusRequestTimeout)
+}
+
+// RetransmitFinal sends the non-2xx INVITE final upstream again.
+func (e *Engine) RetransmitFinal(tx *transaction.Transaction, final *sipmsg.Message) {
+	now := time.Now()
+	e.sendToOrigin(e.timerSender, tx.Origin, final)
+	txTrace(tx).Span(trace.StageRetransmit, now)
 }
 
 // forwardCopy builds the copy of request m that goes downstream — Max-Forwards
@@ -620,26 +634,15 @@ func (e *Engine) finalizeLocal(s Sender, tx *transaction.Transaction, req *sipms
 }
 
 // completeUpstream pushes a final response through the server machine and
-// upstream. For a non-2xx INVITE final over an unreliable transport the
-// transaction enters the §17.2.1 ACK wait: the final is retransmitted on
-// Timer G via the timer sender until the ACK confirms it or Timer H gives
-// up. Returns false when the transaction already answered — the duplicate
-// final is absorbed, which the state span records on the call's timeline.
+// upstream. A non-2xx INVITE final enters the §17.2.1 ACK wait, where the
+// table retransmits it through RetransmitFinal on Timer G until the ACK
+// confirms it or Timer H gives up. Returns false when the transaction
+// already answered — the duplicate final is absorbed, which the state span
+// records on the call's timeline.
 func (e *Engine) completeUpstream(s Sender, tx *transaction.Transaction, resp *sipmsg.Message) bool {
-	tc := txTrace(tx)
-	var replay func(*sipmsg.Message)
-	if !e.cfg.Reliable && e.timerSender != nil && tx.IsInvite() && resp.StatusCode >= 300 {
-		ts := e.timerSender
-		origin := tx.Origin
-		replay = func(final *sipmsg.Message) {
-			now := time.Now()
-			e.sendToOrigin(ts, origin, final)
-			tc.Span(trace.StageRetransmit, now)
-		}
-	}
 	t0 := time.Now()
-	ok := e.txns.SendFinal(tx, resp, replay)
-	tc.Span(trace.StageState, t0)
+	ok := e.txns.SendFinal(tx, resp, e.timers)
+	txTrace(tx).Span(trace.StageState, t0)
 	if !ok {
 		e.absorbed.Inc()
 		return false

@@ -13,6 +13,7 @@ import (
 	"gosip/internal/metrics"
 	"gosip/internal/sipmsg"
 	"gosip/internal/timerlist"
+	"gosip/internal/trace"
 	"gosip/internal/transaction"
 	"gosip/internal/userdb"
 )
@@ -311,20 +312,86 @@ func TestRetransmissionOverUnreliableTransport(t *testing.T) {
 	}
 }
 
+// TestReliableTransportNeverRetransmits: a reliable engine arms no
+// transaction timer even with a timer sender installed, as the sctp
+// architecture runs it — no Timer A for an unanswered INVITE, and no Timer G
+// for a 486 it relays upstream.
 func TestReliableTransportNeverRetransmits(t *testing.T) {
-	v := newEnv(t, true, true)
+	for _, tc := range []struct {
+		name   string
+		answer int // the downstream final, 0 for none
+	}{{"unanswered", 0}, {"486", sipmsg.StatusBusyHere}} {
+		answer := tc.answer
+		t.Run(tc.name, func(t *testing.T) {
+			v := newEnv(t, true, true)
+			v.registerUser(1, "10.0.0.2", 5072)
+			timer := &fakeSender{}
+			v.engine.SetTimerSender(timer)
+			s := &fakeSender{}
+			v.engine.Handle(s, invite(0, 1), "o")
+			if answer != 0 {
+				fwd := s.addrMsgs()[0].msg
+				v.engine.Handle(s, sipmsg.NewResponse(fwd, answer, "callee"), nil)
+				if got := s.originMsgs(); got[len(got)-1].msg.StatusCode != answer {
+					t.Fatalf("setup: %d not relayed upstream", answer)
+				}
+			}
+			v.timers.CheckNow(time.Now().Add(time.Hour))
+			if len(timer.addrMsgs()) != 0 {
+				t.Error("TCP transaction retransmitted its request")
+			}
+			if len(timer.originMsgs()) != 0 {
+				t.Error("TCP transaction retransmitted its final")
+			}
+			if v.prof.Counter(metrics.MetricRetransmits).Value() != 0 {
+				t.Error("retransmit counter nonzero")
+			}
+			if v.prof.Counter(metrics.MetricFinalRetransmits).Value() != 0 {
+				t.Error("final retransmit counter nonzero")
+			}
+		})
+	}
+}
+
+// TestRetransmissionSpans: with tracing on and a manual clock, a forward
+// that Timer A resends leaves a retransmit span on its call's retained
+// timeline.
+func TestRetransmissionSpans(t *testing.T) {
+	v := newEnv(t, true, false)
 	v.registerUser(1, "10.0.0.2", 5072)
-	timer := &fakeSender{}
-	v.engine.SetTimerSender(timer)
+	rec := trace.NewRecorder(trace.Config{Sample: 1}, v.prof)
+	v.engine.SetTimerSender(&fakeSender{})
 	s := &fakeSender{}
-	v.engine.Handle(s, invite(0, 1), "o")
-	v.timers.CheckNow(time.Now().Add(time.Hour))
-	if len(timer.addrMsgs()) != 0 {
-		t.Error("TCP transaction retransmitted")
+	m, err := sipmsg.Parse(wireInvite("span-a"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v.prof.Counter(metrics.MetricRetransmits).Value() != 0 {
-		t.Error("retransmit counter nonzero")
+	rec.Start(m, time.Now())
+	v.engine.Handle(s, m, "caller")
+	m.Release()
+	fwd := s.addrMsgs()[0].msg
+
+	v.timers.CheckNow(time.Now().Add(15 * time.Millisecond))
+	if v.prof.Counter(metrics.MetricRetransmits).Value() == 0 {
+		t.Fatal("setup: Timer A did not retransmit the forward")
 	}
+	v.engine.Handle(s, sipmsg.NewResponse(fwd, sipmsg.StatusOK, "callee"), nil)
+
+	var got *trace.Trace
+	for _, tr := range rec.Snapshot() {
+		if tr.CallID == "span-a" && tr.Status == sipmsg.StatusOK {
+			got = tr
+		}
+	}
+	if got == nil {
+		t.Fatalf("no retained timeline for the call: %+v", rec.Snapshot())
+	}
+	for _, sp := range got.Spans {
+		if sp.Stage == trace.StageRetransmit {
+			return
+		}
+	}
+	t.Errorf("no retransmit span on the call's retained timeline: %+v", got.Spans)
 }
 
 // TestStatelessForwarding: no Trying, no transaction, and the response

@@ -1,13 +1,18 @@
 // The four RFC 3261 §17 transaction state machines as pure transition
 // tables: INVITE/non-INVITE × client/server. Step is a total function over
-// (machine, state, event, reliability) with no side effects — the Table
-// wires its output to real timers, the shard store, and the TU — so the
-// conformance suite can enumerate every legal transition (including the
-// timer-driven ones) without sockets or schedulers.
+// (machine, state, event) with no side effects — the Table wires its output
+// to real timers, the shard store, and the TU — so the conformance suite can
+// enumerate every legal transition (including the timer-driven ones) without
+// sockets or schedulers.
+//
+// The machines are the unreliable-transport ones on every transport. Over a
+// reliable one the TU supplies no TimerHandler and the Table arms no
+// retransmit or timeout timer; the absorb windows D/I/J/K are table removal
+// either way.
 //
 // Timer naming follows §17 exactly:
 //
-//	A  INVITE client request retransmit (T1 doubling, unreliable only)
+//	A  INVITE client request retransmit (T1 doubling)
 //	B  INVITE client transaction timeout (64·T1)
 //	D  INVITE client wait in Completed, absorbs retransmitted finals
 //	E  non-INVITE client request retransmit (T1 doubling, capped at T2)
@@ -172,8 +177,7 @@ const (
 	ActArmRetrans
 	// ActArmTimeout arms the transaction timeout: Timer B, F, or H.
 	ActArmTimeout
-	// ActArmLinger arms the absorb window: Timer D, I, J, or K. Over
-	// reliable transports D/I/K are zero and the machine terminates instead.
+	// ActArmLinger arms the absorb window: Timer D, I, J, or K.
 	ActArmLinger
 )
 
@@ -181,21 +185,16 @@ const (
 // machines start when the request arrives (the INVITE server enters
 // Proceeding directly because the TU — this proxy — always answers 100
 // Trying immediately); client machines start when the request is sent.
-func Init(m Machine, reliable bool) (FSMState, Action) {
+func Init(m Machine) (FSMState, Action) {
 	switch m {
 	case MachineInviteServer:
 		return FProceeding, 0
 	case MachineNonInviteServer:
 		return FTrying, 0
-	case MachineInviteClient, MachineNonInviteClient:
-		act := ActArmTimeout
-		if !reliable {
-			act |= ActArmRetrans
-		}
-		if m == MachineInviteClient {
-			return FCalling, act
-		}
-		return FTrying, act
+	case MachineInviteClient:
+		return FCalling, ActArmTimeout | ActArmRetrans
+	case MachineNonInviteClient:
+		return FTrying, ActArmTimeout | ActArmRetrans
 	}
 	return FInit, 0
 }
@@ -205,16 +204,16 @@ func Init(m Machine, reliable bool) (FSMState, Action) {
 // defined for that state. ok=false means the event is absorbed with no
 // state change (late timers, duplicate messages in terminal states); the
 // caller must not act on it.
-func Step(m Machine, s FSMState, ev Event, reliable bool) (FSMState, Action, bool) {
+func Step(m Machine, s FSMState, ev Event) (FSMState, Action, bool) {
 	switch m {
 	case MachineInviteServer:
-		return stepInviteServer(s, ev, reliable)
+		return stepInviteServer(s, ev)
 	case MachineNonInviteServer:
-		return stepNonInviteServer(s, ev, reliable)
+		return stepNonInviteServer(s, ev)
 	case MachineInviteClient:
-		return stepInviteClient(s, ev, reliable)
+		return stepInviteClient(s, ev)
 	case MachineNonInviteClient:
-		return stepNonInviteClient(s, ev, reliable)
+		return stepNonInviteClient(s, ev)
 	}
 	return s, 0, false
 }
@@ -223,7 +222,7 @@ func Step(m Machine, s FSMState, ev Event, reliable bool) (FSMState, Action, boo
 // ACK for a 2xx is end-to-end); a non-2xx final enters Completed, where the
 // final is retransmitted on Timer G until the ACK arrives (Confirmed) or
 // Timer H gives up.
-func stepInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action, bool) {
+func stepInviteServer(s FSMState, ev Event) (FSMState, Action, bool) {
 	switch s {
 	case FProceeding:
 		switch ev {
@@ -234,11 +233,7 @@ func stepInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action, bo
 		case Ev2xx:
 			return FTerminated, 0, true
 		case Ev300Plus:
-			act := ActArmTimeout
-			if !reliable {
-				act |= ActArmRetrans
-			}
-			return FCompleted, act, true
+			return FCompleted, ActArmTimeout | ActArmRetrans, true
 		case EvTransportErr:
 			return FTerminated, 0, true
 		}
@@ -251,9 +246,6 @@ func stepInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action, bo
 		case EvTimerH:
 			return FTerminated, ActTimeoutTU, true
 		case EvAck:
-			if reliable {
-				return FTerminated, 0, true
-			}
 			return FConfirmed, ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, 0, true
@@ -274,13 +266,7 @@ func stepInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action, bo
 // stepNonInviteServer is §17.2.2: Trying absorbs retransmissions silently
 // (no response to replay yet), Proceeding/Completed replay the last one,
 // and Timer J bounds the Completed absorb window.
-func stepNonInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action, bool) {
-	final := func() (FSMState, Action, bool) {
-		if reliable {
-			return FTerminated, 0, true
-		}
-		return FCompleted, ActArmLinger, true
-	}
+func stepNonInviteServer(s FSMState, ev Event) (FSMState, Action, bool) {
 	switch s {
 	case FTrying:
 		switch ev {
@@ -289,7 +275,7 @@ func stepNonInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action,
 		case Ev1xx:
 			return FProceeding, 0, true
 		case Ev2xx, Ev300Plus:
-			return final()
+			return FCompleted, ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, 0, true
 		}
@@ -300,7 +286,7 @@ func stepNonInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action,
 		case Ev1xx:
 			return FProceeding, 0, true
 		case Ev2xx, Ev300Plus:
-			return final()
+			return FCompleted, ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, 0, true
 		}
@@ -320,13 +306,7 @@ func stepNonInviteServer(s FSMState, ev Event, reliable bool) (FSMState, Action,
 // layer itself and Completed re-ACKs retransmitted finals until Timer D.
 // Timer B also fires in Proceeding — RFC 3261's proxy Timer C (a bound on
 // a downstream that rings forever) collapsed onto the same timer.
-func stepInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action, bool) {
-	nonFinal2xx := func() (FSMState, Action, bool) {
-		if reliable {
-			return FTerminated, ActPassUp | ActGenACK, true
-		}
-		return FCompleted, ActPassUp | ActGenACK | ActArmLinger, true
-	}
+func stepInviteClient(s FSMState, ev Event) (FSMState, Action, bool) {
 	switch s {
 	case FCalling:
 		switch ev {
@@ -339,7 +319,7 @@ func stepInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action, bo
 		case Ev2xx:
 			return FTerminated, ActPassUp, true
 		case Ev300Plus:
-			return nonFinal2xx()
+			return FCompleted, ActPassUp | ActGenACK | ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, ActTimeoutTU, true
 		}
@@ -354,7 +334,7 @@ func stepInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action, bo
 		case Ev2xx:
 			return FTerminated, ActPassUp, true
 		case Ev300Plus:
-			return nonFinal2xx()
+			return FCompleted, ActPassUp | ActGenACK | ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, ActTimeoutTU, true
 		}
@@ -374,13 +354,7 @@ func stepInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action, bo
 // stepNonInviteClient is §17.1.2. Retransmission continues in Proceeding
 // (at the T2 cap); any final — 2xx or not — enters Completed, where Timer K
 // absorbs retransmitted finals.
-func stepNonInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action, bool) {
-	final := func() (FSMState, Action, bool) {
-		if reliable {
-			return FTerminated, ActPassUp, true
-		}
-		return FCompleted, ActPassUp | ActArmLinger, true
-	}
+func stepNonInviteClient(s FSMState, ev Event) (FSMState, Action, bool) {
 	switch s {
 	case FTrying:
 		switch ev {
@@ -391,7 +365,7 @@ func stepNonInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action,
 		case Ev1xx:
 			return FProceeding, ActPassUp, true
 		case Ev2xx, Ev300Plus:
-			return final()
+			return FCompleted, ActPassUp | ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, ActTimeoutTU, true
 		}
@@ -404,7 +378,7 @@ func stepNonInviteClient(s FSMState, ev Event, reliable bool) (FSMState, Action,
 		case Ev1xx:
 			return FProceeding, ActPassUp, true
 		case Ev2xx, Ev300Plus:
-			return final()
+			return FCompleted, ActPassUp | ActArmLinger, true
 		case EvTransportErr:
 			return FTerminated, ActTimeoutTU, true
 		}

@@ -7,16 +7,15 @@ import (
 )
 
 // transition is one row of the §17 conformance tables: machine, state,
-// event, transport reliability in, expected state/actions/definedness out.
+// event in, expected state/actions/definedness out.
 type transition struct {
-	name     string
-	m        Machine
-	from     FSMState
-	ev       Event
-	reliable bool
-	want     FSMState
-	act      Action
-	ok       bool
+	name string
+	m    Machine
+	from FSMState
+	ev   Event
+	want FSMState
+	act  Action
+	ok   bool
 }
 
 // undef marks an event that must be rejected (ok=false, state unchanged).
@@ -31,7 +30,6 @@ var inviteServerTable = []transition{
 	{name: "TU 1xx", m: MachineInviteServer, from: FProceeding, ev: Ev1xx, want: FProceeding, ok: true},
 	{name: "TU 2xx terminates", m: MachineInviteServer, from: FProceeding, ev: Ev2xx, want: FTerminated, ok: true},
 	{name: "TU 300+ unreliable arms G+H", m: MachineInviteServer, from: FProceeding, ev: Ev300Plus, want: FCompleted, act: ActArmTimeout | ActArmRetrans, ok: true},
-	{name: "TU 300+ reliable arms H only", m: MachineInviteServer, from: FProceeding, ev: Ev300Plus, reliable: true, want: FCompleted, act: ActArmTimeout, ok: true},
 	{name: "transport error", m: MachineInviteServer, from: FProceeding, ev: EvTransportErr, want: FTerminated, ok: true},
 	undef(MachineInviteServer, FProceeding, EvAck),
 	undef(MachineInviteServer, FProceeding, EvTimerG),
@@ -43,7 +41,6 @@ var inviteServerTable = []transition{
 	{name: "Timer G retransmits final", m: MachineInviteServer, from: FCompleted, ev: EvTimerG, want: FCompleted, act: ActRetransmitFinal | ActArmRetrans, ok: true},
 	{name: "Timer H gives up", m: MachineInviteServer, from: FCompleted, ev: EvTimerH, want: FTerminated, act: ActTimeoutTU, ok: true},
 	{name: "ACK confirms (unreliable)", m: MachineInviteServer, from: FCompleted, ev: EvAck, want: FConfirmed, act: ActArmLinger, ok: true},
-	{name: "ACK terminates (reliable)", m: MachineInviteServer, from: FCompleted, ev: EvAck, reliable: true, want: FTerminated, ok: true},
 	{name: "transport error", m: MachineInviteServer, from: FCompleted, ev: EvTransportErr, want: FTerminated, ok: true},
 	undef(MachineInviteServer, FCompleted, Ev1xx),
 	undef(MachineInviteServer, FCompleted, Ev2xx),
@@ -69,7 +66,6 @@ var nonInviteServerTable = []transition{
 	{name: "TU 1xx proceeds", m: MachineNonInviteServer, from: FTrying, ev: Ev1xx, want: FProceeding, ok: true},
 	{name: "TU 2xx completes (unreliable)", m: MachineNonInviteServer, from: FTrying, ev: Ev2xx, want: FCompleted, act: ActArmLinger, ok: true},
 	{name: "TU 300+ completes (unreliable)", m: MachineNonInviteServer, from: FTrying, ev: Ev300Plus, want: FCompleted, act: ActArmLinger, ok: true},
-	{name: "TU 2xx terminates (reliable)", m: MachineNonInviteServer, from: FTrying, ev: Ev2xx, reliable: true, want: FTerminated, ok: true},
 	{name: "transport error", m: MachineNonInviteServer, from: FTrying, ev: EvTransportErr, want: FTerminated, ok: true},
 	undef(MachineNonInviteServer, FTrying, EvAck),
 	undef(MachineNonInviteServer, FTrying, EvTimerJ),
@@ -78,7 +74,6 @@ var nonInviteServerTable = []transition{
 	{name: "retransmit replays 1xx", m: MachineNonInviteServer, from: FProceeding, ev: EvRequest, want: FProceeding, act: ActReplay, ok: true},
 	{name: "TU another 1xx", m: MachineNonInviteServer, from: FProceeding, ev: Ev1xx, want: FProceeding, ok: true},
 	{name: "TU 2xx completes", m: MachineNonInviteServer, from: FProceeding, ev: Ev2xx, want: FCompleted, act: ActArmLinger, ok: true},
-	{name: "TU 300+ completes (reliable)", m: MachineNonInviteServer, from: FProceeding, ev: Ev300Plus, reliable: true, want: FTerminated, ok: true},
 	{name: "transport error", m: MachineNonInviteServer, from: FProceeding, ev: EvTransportErr, want: FTerminated, ok: true},
 
 	// Completed: replay the final until Timer J.
@@ -99,7 +94,6 @@ var inviteClientTable = []transition{
 	{name: "1xx proceeds", m: MachineInviteClient, from: FCalling, ev: Ev1xx, want: FProceeding, act: ActPassUp, ok: true},
 	{name: "2xx terminates", m: MachineInviteClient, from: FCalling, ev: Ev2xx, want: FTerminated, act: ActPassUp, ok: true},
 	{name: "300+ completes + ACK (unreliable)", m: MachineInviteClient, from: FCalling, ev: Ev300Plus, want: FCompleted, act: ActPassUp | ActGenACK | ActArmLinger, ok: true},
-	{name: "300+ terminates + ACK (reliable)", m: MachineInviteClient, from: FCalling, ev: Ev300Plus, reliable: true, want: FTerminated, act: ActPassUp | ActGenACK, ok: true},
 	{name: "transport error", m: MachineInviteClient, from: FCalling, ev: EvTransportErr, want: FTerminated, act: ActTimeoutTU, ok: true},
 	undef(MachineInviteClient, FCalling, EvRequest),
 	undef(MachineInviteClient, FCalling, EvTimerD),
@@ -133,7 +127,6 @@ var nonInviteClientTable = []transition{
 	{name: "1xx proceeds", m: MachineNonInviteClient, from: FTrying, ev: Ev1xx, want: FProceeding, act: ActPassUp, ok: true},
 	{name: "2xx completes (unreliable)", m: MachineNonInviteClient, from: FTrying, ev: Ev2xx, want: FCompleted, act: ActPassUp | ActArmLinger, ok: true},
 	{name: "300+ completes (unreliable)", m: MachineNonInviteClient, from: FTrying, ev: Ev300Plus, want: FCompleted, act: ActPassUp | ActArmLinger, ok: true},
-	{name: "2xx terminates (reliable)", m: MachineNonInviteClient, from: FTrying, ev: Ev2xx, reliable: true, want: FTerminated, act: ActPassUp, ok: true},
 	{name: "transport error", m: MachineNonInviteClient, from: FTrying, ev: EvTransportErr, want: FTerminated, act: ActTimeoutTU, ok: true},
 	undef(MachineNonInviteClient, FTrying, EvTimerK),
 	undef(MachineNonInviteClient, FTrying, EvAck),
@@ -157,13 +150,9 @@ var nonInviteClientTable = []transition{
 func runTable(t *testing.T, table []transition) {
 	t.Helper()
 	for _, tr := range table {
-		rel := ""
-		if tr.reliable {
-			rel = "/reliable"
-		}
-		name := tr.m.String() + "/" + tr.from.String() + "/" + tr.ev.String() + rel + "/" + tr.name
+		name := tr.m.String() + "/" + tr.from.String() + "/" + tr.ev.String() + "/" + tr.name
 		t.Run(name, func(t *testing.T) {
-			got, act, ok := Step(tr.m, tr.from, tr.ev, tr.reliable)
+			got, act, ok := Step(tr.m, tr.from, tr.ev)
 			if ok != tr.ok {
 				t.Fatalf("ok = %v, want %v", ok, tr.ok)
 			}
@@ -189,19 +178,16 @@ func TestInviteClientConformance(t *testing.T)    { runTable(t, inviteClientTabl
 func TestNonInviteClientConformance(t *testing.T) { runTable(t, nonInviteClientTable) }
 
 func TestInit(t *testing.T) {
-	if s, act := Init(MachineInviteServer, false); s != FProceeding || act != 0 {
+	if s, act := Init(MachineInviteServer); s != FProceeding || act != 0 {
 		t.Errorf("invite server Init = %v/%b", s, act)
 	}
-	if s, act := Init(MachineNonInviteServer, false); s != FTrying || act != 0 {
+	if s, act := Init(MachineNonInviteServer); s != FTrying || act != 0 {
 		t.Errorf("non-invite server Init = %v/%b", s, act)
 	}
-	if s, act := Init(MachineInviteClient, false); s != FCalling || act != ActArmTimeout|ActArmRetrans {
+	if s, act := Init(MachineInviteClient); s != FCalling || act != ActArmTimeout|ActArmRetrans {
 		t.Errorf("invite client Init = %v/%b", s, act)
 	}
-	if s, act := Init(MachineInviteClient, true); s != FCalling || act != ActArmTimeout {
-		t.Errorf("invite client reliable Init = %v/%b", s, act)
-	}
-	if s, act := Init(MachineNonInviteClient, false); s != FTrying || act != ActArmTimeout|ActArmRetrans {
+	if s, act := Init(MachineNonInviteClient); s != FTrying || act != ActArmTimeout|ActArmRetrans {
 		t.Errorf("non-invite client Init = %v/%b", s, act)
 	}
 }
@@ -232,10 +218,10 @@ func TestEnumStrings(t *testing.T) {
 func TestStepAllocs(t *testing.T) {
 	skipIfRace(t)
 	got := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := Step(MachineInviteServer, FProceeding, Ev300Plus, false); !ok {
+		if _, _, ok := Step(MachineInviteServer, FProceeding, Ev300Plus); !ok {
 			t.Fatal("transition rejected")
 		}
-		if _, _, ok := Step(MachineInviteClient, FCalling, EvTimerA, false); !ok {
+		if _, _, ok := Step(MachineInviteClient, FCalling, EvTimerA); !ok {
 			t.Fatal("transition rejected")
 		}
 	})
@@ -264,7 +250,7 @@ func BenchmarkFSMStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := cases[i&7]
-		Step(c.m, c.s, c.ev, false)
+		Step(c.m, c.s, c.ev)
 	}
 }
 

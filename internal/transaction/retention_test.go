@@ -48,7 +48,7 @@ func retentionFinal(i, code int) []byte {
 // forwardStateful and handleResponse do, releasing the receive loops'
 // references, and returns it completed and lingering, with the built final
 // that went upstream.
-func runToFinal(t testing.TB, tb *Table, i, code int, h ClientTimerHandler) (*Transaction, *sipmsg.Message) {
+func runToFinal(t testing.TB, tb *Table, i, code int, h TimerHandler) (*Transaction, *sipmsg.Message) {
 	t.Helper()
 	req, err := sipmsg.Parse(retentionInvite(i))
 	if err != nil {
@@ -90,6 +90,7 @@ type nopTimers struct{}
 
 func (nopTimers) RetransmitRequest(*Transaction, *sipmsg.Message) {}
 func (nopTimers) RequestTimedOut(*Transaction)                    {}
+func (nopTimers) RetransmitFinal(*Transaction, *sipmsg.Message)   {}
 
 // TestRetainedPerState walks one transaction of each kind through its
 // states and checks what it holds in each, message by message.

@@ -63,16 +63,9 @@ type Config struct {
 	T2 time.Duration
 	// TimerB caps the client retransmission phase (Timer B for INVITE,
 	// Timer F for non-INVITE); the transaction fails upstream with 408 when
-	// it fires. Default 64*T1.
+	// it fires. Default 64*T1. Timer H, the INVITE server's wait for the
+	// ACK of a non-2xx final, is always 64*T1 (§17.2.1).
 	TimerB time.Duration
-	// TimerD is how long an INVITE server transaction that answered with a
-	// non-2xx final stays matchable, bounding the Completed/Confirmed
-	// absorb window (timers D and I collapsed onto table removal).
-	// Default 32s.
-	TimerD time.Duration
-	// TimerH caps how long the INVITE server machine retransmits a non-2xx
-	// final waiting for the ACK. Default 64*T1.
-	TimerH time.Duration
 	// Linger is how long any other completed transaction stays matchable to
 	// absorb retransmitted requests (timers J and K collapsed onto table
 	// removal). Default 2s.
@@ -97,6 +90,12 @@ func ceilPow2(n int) int {
 	return p
 }
 
+// timerD is how long an INVITE server transaction that answered with a
+// non-2xx final stays matchable, bounding the Completed/Confirmed absorb
+// window (timers D and I collapsed onto table removal): §17.1.1.2's 32 s
+// minimum.
+const timerD = 32 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.T1 <= 0 {
 		c.T1 = 500 * time.Millisecond
@@ -106,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimerB <= 0 {
 		c.TimerB = 64 * c.T1
-	}
-	if c.TimerD <= 0 {
-		c.TimerD = 32 * time.Second
-	}
-	if c.TimerH <= 0 {
-		c.TimerH = 64 * c.T1
 	}
 	if c.Linger <= 0 {
 		c.Linger = 2 * time.Second
@@ -290,9 +283,6 @@ func (t *Transaction) LastResponse() *sipmsg.Message {
 	return t.lastLocked()
 }
 
-// IsInvite reports whether the transaction was created by an INVITE.
-func (t *Transaction) IsInvite() bool { return t.srvMachine == MachineInviteServer }
-
 // TraceContext returns the tracing context the request carried when the
 // transaction was created, or nil.
 func (t *Transaction) TraceContext() any { return t.trace }
@@ -456,7 +446,7 @@ func (tb *Table) Create(upKey string, req *sipmsg.Message, origin any) (tx *Tran
 	if req.Method == sipmsg.INVITE {
 		srvM, cliM = MachineInviteServer, MachineInviteClient
 	}
-	srv, _ := Init(srvM, false)
+	srv, _ := Init(srvM)
 	// The table takes its own reference on the request, so the receive loop
 	// can release its own after Handle returns, and its timeline with it:
 	// the message goes back to the pool at the final response, the timeline
@@ -493,7 +483,7 @@ func (tb *Table) Create(upKey string, req *sipmsg.Message, origin any) (tx *Tran
 func (tb *Table) OnRetransmit(tx *Transaction) *sipmsg.Message {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	next, act, ok := Step(tx.srvMachine, tx.srv, EvRequest, false)
+	next, act, ok := Step(tx.srvMachine, tx.srv, EvRequest)
 	if !ok {
 		if tx.srvMachine == MachineInviteServer && tx.srv == FTerminated &&
 			tx.state == StateCompleted {
@@ -516,7 +506,7 @@ func (tb *Table) OnRetransmit(tx *Transaction) *sipmsg.Message {
 // transaction terminated in the meantime is left alone: nothing would ever
 // remove its index entry again.
 func (tb *Table) SetForwarded(tx *Transaction, downKey string, fwd *sipmsg.Message, downRoute any) {
-	cli, _ := Init(tx.cliMachine, false)
+	cli, _ := Init(tx.cliMachine)
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.state == StateTerminated {
@@ -571,24 +561,31 @@ func (tb *Table) MatchParts(branch string, method sipmsg.Method) *Transaction {
 	return sh.m[string(buf)]
 }
 
-// ClientTimerHandler is the TU's side of a transaction's client timers. The
-// table calls it from the timer goroutine, holding none of its locks. One
-// handler serves every transaction (the proxy engine implements it), so
-// arming the timers allocates the timers and nothing else.
-type ClientTimerHandler interface {
+// TimerHandler is the TU's side of a transaction's timers. The table calls
+// it from the timer goroutine, holding none of its locks. One handler serves
+// every transaction (the proxy engine implements it), so arming the timers
+// allocates the timers and nothing else. A TU on a reliable transport passes
+// a nil handler and the table arms no retransmit or timeout timer at all —
+// "the timer process is superfluous for TCP".
+type TimerHandler interface {
 	// RetransmitRequest is Timer A/E: the forwarded request is still
 	// unanswered and goes downstream again.
 	RetransmitRequest(tx *Transaction, fwd *sipmsg.Message)
 	// RequestTimedOut is Timer B/F: the client leg gave up, and the TU
 	// answers upstream (408).
 	RequestTimedOut(tx *Transaction)
+	// RetransmitFinal is Timer G: the non-2xx INVITE final is still
+	// unacknowledged and goes upstream again.
+	RetransmitFinal(tx *Transaction, final *sipmsg.Message)
 }
 
-// ArmClientTimers starts the client machine's timers for an unreliable
-// transport: the Timer A/E retransmission cycle (T1 doubling; E capped at
-// T2) and the Timer B/F transaction timeout, both delivered to h. Reliable
-// transports never call this — "the timer process is superfluous for TCP".
-func (tb *Table) ArmClientTimers(tx *Transaction, h ClientTimerHandler) {
+// ArmClientTimers starts the client machine's timers, the ones Init arms:
+// the Timer A/E retransmission cycle (T1 doubling; E capped at T2) and the
+// Timer B/F transaction timeout, both delivered to h. A nil h arms nothing.
+func (tb *Table) ArmClientTimers(tx *Transaction, h TimerHandler) {
+	if h == nil {
+		return
+	}
 	tx.mu.Lock()
 	if tx.cli == FInit || tx.cli == FTerminated || tx.state != StateProceeding {
 		tx.mu.Unlock()
@@ -604,7 +601,7 @@ func (tb *Table) ArmClientTimers(tx *Transaction, h ClientTimerHandler) {
 			tx.mu.Unlock()
 			return
 		}
-		next, act, ok := Step(tx.cliMachine, tx.cli, timeoutEv, false)
+		next, act, ok := Step(tx.cliMachine, tx.cli, timeoutEv)
 		if !ok {
 			tx.mu.Unlock()
 			return
@@ -620,7 +617,7 @@ func (tb *Table) ArmClientTimers(tx *Transaction, h ClientTimerHandler) {
 }
 
 // armClientRetransLocked arms one Timer A/E firing. Caller holds tx.mu.
-func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, h ClientTimerHandler) {
+func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, h TimerHandler) {
 	tx.retransTimer = tb.timers.After(next, func() {
 		ev := EvTimerA
 		if tx.cliMachine == MachineNonInviteClient {
@@ -631,7 +628,7 @@ func (tb *Table) armClientRetransLocked(tx *Transaction, next time.Duration, h C
 			tx.mu.Unlock()
 			return
 		}
-		nextState, act, ok := Step(tx.cliMachine, tx.cli, ev, false)
+		nextState, act, ok := Step(tx.cliMachine, tx.cli, ev)
 		if !ok {
 			tx.mu.Unlock()
 			return
@@ -678,7 +675,7 @@ func (tb *Table) OnClientResponse(tx *Transaction, resp *sipmsg.Message) RespDis
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	next, act, ok := Step(tx.cliMachine, tx.cli, ev, false)
+	next, act, ok := Step(tx.cliMachine, tx.cli, ev)
 	if !ok {
 		// A 2xx terminated the INVITE client leg and went upstream, so its
 		// transaction is gone at both ends: a retransmitted (or forked) 2xx
@@ -700,7 +697,7 @@ func (tb *Table) OnClientResponse(tx *Transaction, resp *sipmsg.Message) RespDis
 		}
 		// Advance the server machine too: a non-INVITE transaction moves
 		// Trying → Proceeding, where retransmitted requests replay lastResp.
-		if snext, _, sok := Step(tx.srvMachine, tx.srv, Ev1xx, false); sok {
+		if snext, _, sok := Step(tx.srvMachine, tx.srv, Ev1xx); sok {
 			tx.srv = snext
 		}
 		store(&tx.lastResp, resp)
@@ -723,14 +720,7 @@ func (tb *Table) OnClientResponse(tx *Transaction, resp *sipmsg.Message) RespDis
 	// the downstream final arrives) they hold Timer G/H, which this
 	// response must not stop.
 	if tx.state == StateProceeding {
-		if tx.retransTimer != nil {
-			tx.retransTimer.Cancel()
-			tx.retransTimer = nil
-		}
-		if tx.timeoutTimer != nil {
-			tx.timeoutTimer.Cancel()
-			tx.timeoutTimer = nil
-		}
+		tx.stopTimersLocked()
 	}
 	if act&ActGenACK != 0 {
 		return RespPassFinalAck
@@ -752,20 +742,13 @@ func (tb *Table) OnAck(tx *Transaction) AckDisposition {
 	if tx.lastResp == nil || tx.lastResp.StatusCode < 300 {
 		return AckForward
 	}
-	if next, _, ok := Step(tx.srvMachine, tx.srv, EvAck, false); ok {
+	if next, _, ok := Step(tx.srvMachine, tx.srv, EvAck); ok {
 		tx.srv = next
 	}
 	// Confirmed: stop retransmitting the final and stop waiting for the
 	// ACK. The removal timer (Timer D, doubling as Timer I's absorb
 	// window) keeps the entry matchable for straggling ACKs.
-	if tx.retransTimer != nil {
-		tx.retransTimer.Cancel()
-		tx.retransTimer = nil
-	}
-	if tx.timeoutTimer != nil {
-		tx.timeoutTimer.Cancel()
-		tx.timeoutTimer = nil
-	}
+	tx.stopTimersLocked()
 	return AckAbsorbed
 }
 
@@ -778,19 +761,18 @@ func (tb *Table) OnAck(tx *Transaction) AckDisposition {
 // other final needs nothing but its own bytes to be replayed: the table
 // keeps resp's wire image and neither resp nor the legs.
 //
-// For a non-2xx INVITE final over an unreliable transport, pass a non-nil
-// replay to arm the §17.2.1 ACK wait: the final is retransmitted via replay
-// on Timer G (T1 doubling, capped T2) until the ACK confirms the
-// transaction or Timer H fires; pass nil over reliable transports (or for
-// non-INVITE/2xx finals, where it is ignored). Returns false if a final was
-// already sent (duplicate finals are dropped).
+// A non-2xx INVITE final enters the §17.2.1 ACK wait, the one transition
+// that arms ActArmRetrans on a server machine: the final is retransmitted
+// through h on Timer G (T1 doubling, capped T2) until the ACK confirms the
+// transaction or Timer H (64·T1) fires. A nil h arms neither. Returns false
+// if a final was already sent (duplicate finals are dropped).
 //
 // Departure from a literal §17.2.1: a 2xx moves the real machine straight
 // to Terminated (the 2xx ACK is end-to-end), but the entry stays in the
 // table for the linger window so retransmitted INVITEs replay the 200
 // instead of spawning a second transaction — the absorption the paper's
 // stateful-proxy cells depend on over lossy UDP.
-func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*sipmsg.Message)) bool {
+func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, h TimerHandler) bool {
 	code := resp.StatusCode
 	ev := Ev300Plus
 	if code < 300 {
@@ -810,37 +792,30 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 		tx.mu.Unlock()
 		return false
 	}
-	next, act, ok := Step(tx.srvMachine, tx.srv, ev, false)
+	next, act, ok := Step(tx.srvMachine, tx.srv, ev)
 	if !ok {
 		tx.mu.Unlock()
 		return false
 	}
 	tx.srv = next
 	tx.state = StateCompleted
-	if tx.retransTimer != nil {
-		tx.retransTimer.Cancel()
-		tx.retransTimer = nil
-	}
-	if tx.timeoutTimer != nil {
-		tx.timeoutTimer.Cancel()
-		tx.timeoutTimer = nil
-	}
+	tx.stopTimersLocked()
 	linger := tb.cfg.Linger
 	if keepMessages {
 		store(&tx.lastResp, resp)
-		linger = tb.cfg.TimerD
+		linger = timerD
 	} else {
 		tx.final = image
 		store(&tx.lastResp, nil)
 		tx.releaseLegsLocked()
 	}
 	tx.removeTimer = tb.timers.After(linger, func() { tb.Terminate(tx) })
-	if replay != nil && act&ActArmRetrans != 0 {
+	if h != nil && act&ActArmRetrans != 0 {
 		// §17.2.1 Completed: retransmit the final on Timer G until the ACK
 		// arrives; give up and remove the transaction when Timer H fires.
-		tx.timeoutTimer = tb.timers.After(tb.cfg.TimerH, func() {
+		tx.timeoutTimer = tb.timers.After(64*tb.cfg.T1, func() {
 			tx.mu.Lock()
-			next, _, ok := Step(tx.srvMachine, tx.srv, EvTimerH, false)
+			next, _, ok := Step(tx.srvMachine, tx.srv, EvTimerH)
 			if !ok {
 				tx.mu.Unlock()
 				return
@@ -849,7 +824,7 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 			tx.mu.Unlock()
 			tb.Terminate(tx)
 		})
-		tb.armFinalRetransLocked(tx, tb.cfg.T1, replay)
+		tb.armFinalRetransLocked(tx, tb.cfg.T1, h)
 	}
 	tx.mu.Unlock()
 	tb.pending.Add(-1)
@@ -857,10 +832,10 @@ func (tb *Table) SendFinal(tx *Transaction, resp *sipmsg.Message, replay func(*s
 }
 
 // armFinalRetransLocked arms one Timer G firing. Caller holds tx.mu.
-func (tb *Table) armFinalRetransLocked(tx *Transaction, next time.Duration, replay func(*sipmsg.Message)) {
+func (tb *Table) armFinalRetransLocked(tx *Transaction, next time.Duration, h TimerHandler) {
 	tx.retransTimer = tb.timers.After(next, func() {
 		tx.mu.Lock()
-		nextState, act, ok := Step(tx.srvMachine, tx.srv, EvTimerG, false)
+		nextState, act, ok := Step(tx.srvMachine, tx.srv, EvTimerG)
 		if !ok {
 			tx.mu.Unlock()
 			return
@@ -877,15 +852,24 @@ func (tb *Table) armFinalRetransLocked(tx *Transaction, next time.Duration, repl
 			if interval > tb.cfg.T2 {
 				interval = tb.cfg.T2
 			}
-			tb.armFinalRetransLocked(tx, interval, replay)
+			tb.armFinalRetransLocked(tx, interval, h)
 		}
 		tx.mu.Unlock()
 		if resp != nil {
 			tb.finalRetrans.Inc()
-			replay(resp)
+			h.RetransmitFinal(tx, resp)
 			resp.Release()
 		}
 	})
+}
+
+// stopTimersLocked cancels the retransmit and timeout timers: A/E and B/F
+// while the client leg waits, G and H once a non-2xx INVITE final went
+// upstream. Caller holds t.mu.
+func (t *Transaction) stopTimersLocked() {
+	t.retransTimer.Cancel()
+	t.timeoutTimer.Cancel()
+	t.retransTimer, t.timeoutTimer = nil, nil
 }
 
 // Terminate removes the transaction from the table immediately and gives
@@ -900,18 +884,9 @@ func (tb *Table) Terminate(tx *Transaction) {
 	tx.state = StateTerminated
 	tx.srv = FTerminated
 	tx.cli = FTerminated
-	if tx.retransTimer != nil {
-		tx.retransTimer.Cancel()
-		tx.retransTimer = nil
-	}
-	if tx.timeoutTimer != nil {
-		tx.timeoutTimer.Cancel()
-		tx.timeoutTimer = nil
-	}
-	if tx.removeTimer != nil {
-		tx.removeTimer.Cancel()
-		tx.removeTimer = nil
-	}
+	tx.stopTimersLocked()
+	tx.removeTimer.Cancel()
+	tx.removeTimer = nil
 	tx.releaseLegsLocked()
 	store(&tx.lastResp, nil)
 	tx.final = ""

@@ -185,14 +185,16 @@ func TestLingerThenRemoval(t *testing.T) {
 	}
 }
 
-// timerFuncs adapts two closures to ClientTimerHandler.
+// timerFuncs adapts closures to TimerHandler.
 type timerFuncs struct {
 	send   func(*sipmsg.Message)
 	expire func()
+	replay func(*sipmsg.Message)
 }
 
 func (f timerFuncs) RetransmitRequest(_ *Transaction, fwd *sipmsg.Message) { f.send(fwd) }
 func (f timerFuncs) RequestTimedOut(*Transaction)                          { f.expire() }
+func (f timerFuncs) RetransmitFinal(_ *Transaction, final *sipmsg.Message) { f.replay(final) }
 
 func TestRetransmitScheduleDoubles(t *testing.T) {
 	tb, timers := newTestTable(Config{T1: 10 * time.Millisecond, TimerB: 70 * time.Millisecond})
@@ -318,12 +320,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.T2 != 4*time.Second {
 		t.Errorf("T2 = %v", cfg.T2)
 	}
-	if cfg.TimerD != 32*time.Second {
-		t.Errorf("TimerD = %v", cfg.TimerD)
-	}
-	if cfg.TimerH != 32*time.Second {
-		t.Errorf("TimerH = %v", cfg.TimerH)
-	}
 	if cfg.Linger != 2*time.Second {
 		t.Errorf("Linger = %v", cfg.Linger)
 	}
@@ -403,24 +399,21 @@ func TestOnRetransmitRepliesPerMachine(t *testing.T) {
 // INVITE final is retransmitted on Timer G with doubling intervals capped
 // at T2, and the ACK moves the machine to Confirmed, stopping the cycle.
 func TestTimerGRetransmitsFinalUntilAck(t *testing.T) {
-	tb, timers := newTestTable(Config{
-		T1: 10 * time.Millisecond, T2: 20 * time.Millisecond,
-		TimerH: 500 * time.Millisecond, TimerD: time.Hour,
-	})
+	tb, timers := newTestTable(Config{T1: 10 * time.Millisecond, T2: 20 * time.Millisecond})
 	req := inviteReq("g1")
 	tx, _ := tb.Create(key(t, req), req, nil)
 	final := sipmsg.NewResponse(req, sipmsg.StatusBusyHere, "g")
 
 	var mu sync.Mutex
 	replays := 0
-	if !tb.SendFinal(tx, final, func(m *sipmsg.Message) {
+	if !tb.SendFinal(tx, final, timerFuncs{replay: func(m *sipmsg.Message) {
 		mu.Lock()
 		replays++
 		mu.Unlock()
 		if m != final {
 			t.Error("replayed a different message than the final")
 		}
-	}) {
+	}}) {
 		t.Fatal("SendFinal failed")
 	}
 	if tx.ServerState() != FCompleted {
@@ -441,14 +434,15 @@ func TestTimerGRetransmitsFinalUntilAck(t *testing.T) {
 		t.Errorf("FinalAttempts = %d, replays = %d", tx.FinalAttempts(), n)
 	}
 
-	// The ACK confirms; the cycle must stop.
+	// The ACK confirms; the cycle must stop. Checked past Timer H (64·T1 =
+	// 640ms) and before Timer D (32s) removes the transaction.
 	if disp := tb.OnAck(tx); disp != AckAbsorbed {
 		t.Fatalf("OnAck = %v, want absorbed", disp)
 	}
 	if tx.ServerState() != FConfirmed {
 		t.Errorf("server state after ACK = %v, want confirmed", tx.ServerState())
 	}
-	timers.CheckNow(base.Add(time.Minute))
+	timers.CheckNow(base.Add(time.Second))
 	mu.Lock()
 	after := replays
 	mu.Unlock()
@@ -462,17 +456,16 @@ func TestTimerGRetransmitsFinalUntilAck(t *testing.T) {
 }
 
 // TestTimerHGivesUpWithoutAck pins the other exit from Completed: no ACK
-// ever arrives and Timer H terminates the transaction.
+// ever arrives and Timer H terminates the transaction. It looks at 1s, past
+// H (64·T1 = 640ms) and well before Timer D's removal at 32s.
 func TestTimerHGivesUpWithoutAck(t *testing.T) {
-	tb, timers := newTestTable(Config{
-		T1: 10 * time.Millisecond, TimerH: 50 * time.Millisecond, TimerD: time.Hour,
-	})
+	tb, timers := newTestTable(Config{T1: 10 * time.Millisecond})
 	req := inviteReq("h1")
 	upKey := key(t, req)
 	tx, _ := tb.Create(upKey, req, nil)
 	final := sipmsg.NewResponse(req, sipmsg.StatusBusyHere, "g")
-	tb.SendFinal(tx, final, func(*sipmsg.Message) {})
-	timers.CheckNow(time.Now().Add(time.Minute))
+	tb.SendFinal(tx, final, nopTimers{})
+	timers.CheckNow(time.Now().Add(time.Second))
 	if tx.State() != StateTerminated {
 		t.Errorf("state = %v after Timer H, want terminated", tx.State())
 	}
@@ -576,7 +569,7 @@ func TestLateProvisionalAfterUpstreamFinal(t *testing.T) {
 	tx, _ := tb.Create(key(t, req), req, nil)
 	tb.SetForwarded(tx, "lp1down|INVITE", req.Clone(), nil)
 	final := sipmsg.NewResponse(req, sipmsg.StatusRequestTerminated, "g")
-	tb.SendFinal(tx, final, func(*sipmsg.Message) {})
+	tb.SendFinal(tx, final, nopTimers{})
 
 	ringing := sipmsg.NewResponse(req, sipmsg.StatusRinging, "")
 	if disp := tb.OnClientResponse(tx, ringing); disp != RespAbsorb {
